@@ -5,6 +5,7 @@ cross-checks.
 """
 
 from .core import (
+    ConsistencyError,
     LinearForm,
     NotAnIdealError,
     OutOfRangeError,

@@ -23,6 +23,7 @@ from fractions import Fraction
 from . import invariants as invariants_mod
 from . import oracle as oracle_mod
 from .core import (
+    ConsistencyError,
     LinearForm,
     NotAnIdealError,
     OutOfRangeError,
@@ -501,6 +502,7 @@ def dispatch(argv=None) -> int:
     try:
         return _run(args)
     except (
+        ConsistencyError,
         invariants_mod.CentralityError,
         invariants_mod.NotTriangularError,
         invariants_mod.InconsistentStateError,

@@ -27,6 +27,7 @@ __all__ = [
     "OutOfRangeError",
     "NotAnIdealError",
     "DimensionMismatchError",
+    "ConsistencyError",
     "all_pairs",
     "succ_key",
     "order_gt",
@@ -70,6 +71,11 @@ class NotAnIdealError(ValueError):
 
 class DimensionMismatchError(ValueError):
     pass
+
+
+class ConsistencyError(RuntimeError):
+    """A guaranteed fact failed on an object built without validation, or a bug.
+    Not a ValueError: the command line reports those as bad input."""
 
 
 def all_pairs(n: int) -> list[Pair]:
@@ -257,22 +263,7 @@ class UnipotentElement:
         return UnipotentElement(_mat_mul(self.entries, other.entries))
 
     def inverse(self) -> "UnipotentElement":
-        # g = I + X with X strictly lower nilpotent, so the Neumann series
-        # I - X + X^2 - ... terminates after n terms.
-        n = self.n
-        x = tuple(
-            tuple(self.entries[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)
-        )
-        acc = UnipotentElement.identity(n).entries
-        power = UnipotentElement.identity(n).entries
-        sign = 1
-        for _ in range(n - 1):
-            power = _mat_mul(power, x)
-            sign = -sign
-            acc = tuple(
-                tuple(acc[i][j] + sign * power[i][j] for j in range(n)) for i in range(n)
-            )
-        return UnipotentElement(acc)
+        return UnipotentElement(_solve_right(UnipotentElement.identity(self.n).entries, self.entries))
 
 
 def _mat_mul(a, b):
@@ -283,14 +274,27 @@ def _mat_mul(a, b):
     )
 
 
+def _solve_right(c, g):
+    """c * g^-1 for unit lower-triangular g: X g = c solved column by column from the right."""
+    n = len(g)
+    x = [list(row) for row in c]
+    for j in reversed(range(n)):
+        for k in range(j + 1, n):
+            gkj = g[k][j]
+            if gkj:
+                for row in x:
+                    row[j] -= row[k] * gkj
+    return tuple(tuple(row) for row in x)
+
+
 def coadjoint_act(g: UnipotentElement, f: LinearForm, ideal: PatternIdeal) -> LinearForm:
     """Move a linear form by the group element, exactly.
 
     Under the trace pairing the form becomes the upper-triangular matrix b
-    with b[col, row] = f(y[row, col]); the action conjugates by g and
-    projects back onto the strictly upper-triangular part.  Positions of M
-    must come back zero (the annihilator of an ideal is stable), which is
-    asserted rather than silently dropped.
+    with b[col, row] = f(y[row, col]); the action takes g b g^-1 (one product
+    and one triangular solve) and projects back onto the strictly upper part.
+    Positions of M must come back zero (the annihilator of an ideal is
+    stable); otherwise ConsistencyError is raised, never a silent drop.
     """
     n = ideal.n
     if g.n != n or f.algebra.ideal != ideal:
@@ -298,11 +302,10 @@ def coadjoint_act(g: UnipotentElement, f: LinearForm, ideal: PatternIdeal) -> Li
     b = [[Fraction(0)] * n for _ in range(n)]
     for pair, value in f.values:
         b[pair.col - 1][pair.row - 1] = value
-    moved = _mat_mul(_mat_mul(g.entries, tuple(tuple(row) for row in b)), g.inverse().entries)
+    moved = _solve_right(_mat_mul(g.entries, b), g.entries)
     for pair in ideal.members:
-        assert moved[pair.col - 1][pair.row - 1] == 0, (
-            f"coadjoint action left the annihilator of the ideal at {tuple(pair)}"
-        )
+        if moved[pair.col - 1][pair.row - 1] != 0:
+            raise ConsistencyError(f"coadjoint action left the annihilator of the ideal at {tuple(pair)}")
     values = {}
     for pair in f.algebra.basis:
         value = moved[pair.col - 1][pair.row - 1]

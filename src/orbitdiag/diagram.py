@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import combinations
 from typing import NamedTuple
 
-from .core import Pair, PatternIdeal, all_pairs, bracket, order_gt, succ_key
+from .core import ConsistencyError, Pair, PatternIdeal, all_pairs, bracket, order_gt, succ_key
 
 __all__ = [
     "SymbolKind",
@@ -131,7 +131,8 @@ def build_diagram(ideal: PatternIdeal) -> Diagram:
                 minus.append(ka)
                 plus.append(at)
         p = min((m.row for m in ideal.members if m.col == t), default=n + 1)
-        assert p > k, "ideal cells in the cross's column must lie strictly below it"
+        if p <= k:
+            raise ConsistencyError(f"ideal cell ({p},{t}) lies above the cross {tuple(xi)}: not an ideal")
         steps.append(
             StepRecord(
                 i,
@@ -155,15 +156,12 @@ def max_orbit_dim(d: Diagram) -> int:
 
 
 def b_set(d: Diagram, i: int) -> tuple[Pair, ...]:
-    """Positions unfilled after step i, greatest first (B_0 = A minus M)."""
+    """Positions unfilled after step i, greatest first (B_0 = A minus M).
+
+    Read off the cells: those filled at a later step (bullets have step 0)."""
     if not 0 <= i <= d.s:
         raise StepOutOfRangeError(i, d.s)
-    filled = set(d.ideal.members)
-    for rec in d.steps[:i]:
-        filled.add(rec.xi)
-        filled.update(rec.minus)
-        filled.update(rec.plus)
-    return tuple(p for p in all_pairs(d.n) if p not in filled)
+    return tuple(p for p in all_pairs(d.n) if d.cells[p].step > i)
 
 
 def classify_step(d: Diagram, i: int) -> dict[Pair, str]:
@@ -183,29 +181,31 @@ def classify_step(d: Diagram, i: int) -> dict[Pair, str]:
         raise StepOutOfRangeError(i, d.s)
     rec = d.steps[i - 1]
     k, t = rec.xi
-    before = set(b_set(d, i - 1))
-    # No survivor of the previous step sits at (a,k) with k < a < p: such
-    # places always received a minus earlier.
+    # A cell filled at step >= i was still unfilled before step i.  No such
+    # cell sits at (a,k) with k < a < p: those always received a minus
+    # earlier.  This also gives a >= p for every class-3 survivor.
     for a in range(k + 1, rec.p):
-        assert Pair(a, k) not in before
+        if d.cells[Pair(a, k)].step >= i:
+            raise ConsistencyError(f"step {i}: {(a, k)} is unfilled between the cross and row {rec.p}")
     classes: dict[Pair, str] = {}
     for pair in b_set(d, i):
         a, b = pair
         if b == t:
-            assert a < k
+            if a >= k:
+                raise ConsistencyError(f"step {i}: survivor {tuple(pair)} is not above the cross")
             cls = "1.2a"
         elif a == k:
             cls = "1.2b"
         elif a < k:
-            assert t < b < k
-            if Pair(a, t) in before and Pair(k, b) in before:
+            if not t < b < k:
+                raise ConsistencyError(f"step {i}: survivor {tuple(pair)} is left of the cross column")
+            if d.cells[Pair(a, t)].step >= i and d.cells[Pair(k, b)].step >= i:
                 cls = "1.1"
             else:
                 cls = "1.2c"
         elif b < k:
             cls = "2"
         elif b == k:
-            assert rec.p <= a <= d.n
             cls = "3"
         else:
             cls = "4"

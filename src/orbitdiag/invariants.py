@@ -128,11 +128,9 @@ def theta_step(prev: ThetaState, d: Diagram, i: int) -> ThetaState:
     k, t = rec.xi
     pivot = prev.images[rec.xi]
     z_table = (*prev.z_list, pivot.num)
-    classes = classify_step(d, i)
     images: dict[Pair, LocalizedElement] = {}
-    for pair in b_set(d, i):
+    for pair, cls in classify_step(d, i).items():
         a, b = pair
-        cls = classes[pair]
         if cls == "1.1":
             correction = loc_divide(
                 loc_mul(prev.images[Pair(a, t)], prev.images[Pair(k, b)]),

@@ -281,10 +281,6 @@ def evaluate(p: Polynomial, f: LinearForm) -> Fraction:
 # --- text form -------------------------------------------------------------
 
 
-def _coeff_string(c: Fraction) -> str:
-    return str(c)
-
-
 def canonical_string(p: Polynomial) -> str:
     """Deterministic rendering: greatest term first, "c*y[i,j]^e*..." pieces.
 
@@ -303,11 +299,11 @@ def canonical_string(p: Polynomial) -> str:
             for pair, e in m
         ]
         if not factors:
-            body = _coeff_string(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([_coeff_string(mag)] + factors)
+            body = "*".join([str(mag)] + factors)
         if not pieces:
             pieces.append(body if sign == "+" else "-" + body)
         else:
@@ -416,9 +412,6 @@ class LocalizedElement:
 
     def __post_init__(self):
         self.den = {j: e for j, e in self.den.items() if e}
-
-    def copy(self) -> "LocalizedElement":
-        return LocalizedElement(self.num, dict(self.den))
 
 
 def expand_denominator(den: dict, z_table) -> Polynomial:

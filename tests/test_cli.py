@@ -22,7 +22,7 @@ from orbitdiag.cli import (
     render_diagram,
     run_verify,
 )
-from orbitdiag.core import NotAnIdealError, Pair, validate_pattern_ideal
+from orbitdiag.core import ConsistencyError, NotAnIdealError, Pair, validate_pattern_ideal
 from orbitdiag.diagram import build_diagram
 from orbitdiag.invariants import CentralityError
 from orbitdiag.polyring import Polynomial, canonical_string
@@ -270,6 +270,15 @@ def test_failed_check_exits_1(capsys, monkeypatch):
 
     monkeypatch.setattr(invariants_mod, "build_invariants", refuse)
     assert dispatch(["invariants", "--ideal", "4:", "--check"]) == 1
+    assert capsys.readouterr().err.startswith("check failed:")
+
+
+def test_consistency_error_exits_1(capsys, monkeypatch):
+    def broken(d, check=False):
+        raise ConsistencyError("a survivor is out of place")
+
+    monkeypatch.setattr(invariants_mod, "build_invariants", broken)
+    assert dispatch(["invariants", "--ideal", "4:"]) == 1
     assert capsys.readouterr().err.startswith("check failed:")
 
 

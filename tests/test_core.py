@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orbitdiag.core import (
+    ConsistencyError,
     LinearForm,
     NotAnIdealError,
     OutOfRangeError,
@@ -176,6 +177,24 @@ def test_unipotent_inverse():
         assert g.inverse() * g == UnipotentElement.identity(6)
 
 
+def rational_unipotent(n, seed):
+    return UnipotentElement.from_strict_lower(
+        n,
+        {
+            pair: Fraction(counter_rand(seed, index) % 19 - 9, counter_rand(seed, index, 1) % 6 + 2)
+            for index, pair in enumerate(all_pairs(n))
+        },
+    )
+
+
+def test_unipotent_inverse_with_rational_entries():
+    for seed in range(4):
+        g = rational_unipotent(6, seed)
+        assert any(x.denominator > 1 for row in g.entries for x in row)
+        assert g * g.inverse() == UnipotentElement.identity(6)
+        assert g.inverse() * g == UnipotentElement.identity(6)
+
+
 # --- coadjoint action -----------------------------------------------------------
 
 
@@ -210,6 +229,28 @@ def test_coadjoint_is_a_group_action():
             coadjoint_act(g * h, f, ideal).values
             == coadjoint_act(g, coadjoint_act(h, f, ideal), ideal).values
         )
+
+
+def test_coadjoint_round_trip_with_rational_group_and_form():
+    ideal = validate_pattern_ideal(6, [(6, 1), (5, 1), (6, 2)])
+    algebra = QuotientAlgebra.from_ideal(ideal)
+    for seed in range(4):
+        g = rational_unipotent(6, seed + 10)
+        f = LinearForm.from_dict(
+            algebra,
+            {pair: Fraction(index - 5, index + 2) for index, pair in enumerate(algebra.basis)},
+        )
+        moved = coadjoint_act(g.inverse(), f, ideal)
+        assert moved != f
+        assert coadjoint_act(g, moved, ideal) == f
+
+
+def test_coadjoint_rejects_a_form_built_with_a_value_on_the_ideal():
+    # from_dict refuses (3,1) here; a form built directly bypasses that.
+    ideal = validate_pattern_ideal(3, [(3, 1)])
+    f = LinearForm(QuotientAlgebra.from_ideal(ideal), ((Pair(3, 1), Fraction(5)),))
+    with pytest.raises(ConsistencyError, match="annihilator"):
+        coadjoint_act(random_unipotent(3, 4, 0), f, ideal)
 
 
 def test_coadjoint_keeps_annihilator():

@@ -3,15 +3,18 @@
 import pytest
 
 from orbitdiag.core import (
+    ConsistencyError,
     Pair,
     PatternIdeal,
     QuotientAlgebra,
+    all_pairs,
     bracket,
     enumerate_pattern_ideals,
     order_gt,
     validate_pattern_ideal,
 )
 from orbitdiag.diagram import (
+    Diagram,
     StepOutOfRangeError,
     SymbolKind,
     b_set,
@@ -161,7 +164,49 @@ def test_step_bounds_are_enforced():
             dominating_ideal(d, bad)
 
 
+# --- internal checks on objects built without validation ------------------------
+
+
+def test_build_diagram_rejects_an_unvalidated_non_ideal():
+    # (2,1) without (3,1) is not lower-left closed; the cross lands at (3,1).
+    with pytest.raises(ConsistencyError, match="lies above the cross"):
+        build_diagram(PatternIdeal(3, frozenset({Pair(2, 1)})))
+
+
+@pytest.mark.parametrize(
+    "d, cell, i, message",
+    [
+        # Each case refiles one cell after step i.  (6,5) took its minus at
+        # step 2; refiled, it is unfilled under the step-5 cross (5,4), above p = 8.
+        (example_diagram(), Pair(6, 5), 5, "unfilled between the cross"),
+        # In ut(4) step 2 crosses (3,2); (4,2) then survives below it.
+        (build_diagram(validate_pattern_ideal(4, [])), Pair(4, 2), 2, "not above the cross"),
+        # ... and (2,1) survives in the column left of it.
+        (build_diagram(validate_pattern_ideal(4, [])), Pair(2, 1), 2, "left of the cross column"),
+    ],
+    ids=["unfilled-below-cross", "survivor-below-cross", "survivor-left-of-cross"],
+)
+def test_classify_step_rejects_tampered_cells(d, cell, i, message):
+    cells = {**d.cells, cell: d.cells[cell]._replace(step=i + 1)}
+    with pytest.raises(ConsistencyError, match=message):
+        classify_step(Diagram(d.ideal, cells, d.steps), i)
+
+
 # --- structural properties over every small ideal ----------------------------------
+
+
+def test_b_set_matches_the_step_replay():
+    # Independent reference: all positions minus M minus the crosses and
+    # the pluses and minuses of steps 1..i.
+    for n in range(1, 8):
+        for ideal in enumerate_pattern_ideals(n):
+            d = build_diagram(ideal)
+            filled = set(ideal.members)
+            for i in range(d.s + 1):
+                if i:
+                    rec = d.steps[i - 1]
+                    filled.update((rec.xi, *rec.minus, *rec.plus))
+                assert b_set(d, i) == tuple(p for p in all_pairs(n) if p not in filled)
 
 
 def test_structure_exhaustive_small_n():
