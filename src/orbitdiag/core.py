@@ -1,6 +1,6 @@
 """Base layer: root positions, pattern ideals, structure constants, forms.
 
-Everything here works over exact rationals (`fractions.Fraction`), so all
+Scalars are exact: ints, or `fractions.Fraction` where not integral, so all
 downstream checks are equality checks, never tolerance checks.
 
 The algebra under study is the space of strictly lower-triangular n x n
@@ -159,11 +159,11 @@ class QuotientAlgebra:
 class SignedTerm(NamedTuple):
     """A bracket value: coefficient * basis vector, or zero (pair is None)."""
 
-    coefficient: Fraction
+    coefficient: int
     pair: Pair | None
 
 
-ZERO_TERM = SignedTerm(Fraction(0), None)
+ZERO_TERM = SignedTerm(0, None)
 
 
 def bracket(a: Pair, b: Pair, ideal: PatternIdeal) -> SignedTerm:
@@ -183,7 +183,13 @@ def bracket(a: Pair, b: Pair, ideal: PatternIdeal) -> SignedTerm:
         return ZERO_TERM
     if result in ideal.members:
         return ZERO_TERM
-    return SignedTerm(Fraction(sign), result)
+    return SignedTerm(sign, result)
+
+
+def _exact(value) -> int | Fraction:
+    """Input boundary: anything `Fraction` accepts, stored as an int when integral."""
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 @dataclass(frozen=True)
@@ -195,31 +201,31 @@ class LinearForm:
     """
 
     algebra: QuotientAlgebra
-    values: tuple[tuple[Pair, Fraction], ...]
+    values: tuple[tuple[Pair, int | Fraction], ...]
 
     @classmethod
-    def from_dict(cls, algebra: QuotientAlgebra, values: dict[Pair, Fraction]) -> "LinearForm":
+    def from_dict(cls, algebra: QuotientAlgebra, values: dict[Pair, int | Fraction]) -> "LinearForm":
         basis = set(algebra.basis)
         cleaned = {}
         for pair, value in values.items():
             pair = Pair(*pair)
             if pair not in basis:
                 raise OutOfRangeError(pair, algebra.n)
-            value = Fraction(value)
+            value = _exact(value)
             if value:
                 cleaned[pair] = value
         return cls(algebra, tuple(sorted(cleaned.items())))
 
-    def __call__(self, pair: Pair) -> Fraction:
+    def __call__(self, pair: Pair) -> int | Fraction:
         if pair not in set(self.algebra.basis):
             raise OutOfRangeError(pair, self.algebra.n)
-        return dict(self.values).get(pair, Fraction(0))
+        return dict(self.values).get(pair, 0)
 
-    def as_dict(self) -> dict[Pair, Fraction]:
+    def as_dict(self) -> dict[Pair, int | Fraction]:
         return dict(self.values)
 
 
-def _is_unit_lower(entries: tuple[tuple[Fraction, ...], ...]) -> bool:
+def _is_unit_lower(entries: tuple[tuple[int | Fraction, ...], ...]) -> bool:
     n = len(entries)
     for i in range(n):
         if len(entries[i]) != n or entries[i][i] != 1:
@@ -233,7 +239,7 @@ def _is_unit_lower(entries: tuple[tuple[Fraction, ...], ...]) -> bool:
 class UnipotentElement:
     """A lower-triangular matrix with unit diagonal, exact entries."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
         if not _is_unit_lower(self.entries):
@@ -241,16 +247,16 @@ class UnipotentElement:
 
     @classmethod
     def identity(cls, n: int) -> "UnipotentElement":
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
+        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
-    def from_strict_lower(cls, n: int, coeffs: dict[Pair, Fraction]) -> "UnipotentElement":
-        rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    def from_strict_lower(cls, n: int, coeffs: dict[Pair, int | Fraction]) -> "UnipotentElement":
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
         for pair, value in coeffs.items():
             pair = Pair(*pair)
             if not (1 <= pair.col < pair.row <= n):
                 raise OutOfRangeError(pair, n)
-            rows[pair.row - 1][pair.col - 1] = Fraction(value)
+            rows[pair.row - 1][pair.col - 1] = _exact(value)
         return cls(tuple(tuple(row) for row in rows))
 
     @property
@@ -269,7 +275,7 @@ class UnipotentElement:
 def _mat_mul(a, b):
     n = len(a)
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
 
@@ -299,7 +305,7 @@ def coadjoint_act(g: UnipotentElement, f: LinearForm, ideal: PatternIdeal) -> Li
     n = ideal.n
     if g.n != n or f.algebra.ideal != ideal:
         raise DimensionMismatchError("group element, form and ideal must share the same size")
-    b = [[Fraction(0)] * n for _ in range(n)]
+    b = [[0] * n for _ in range(n)]
     for pair, value in f.values:
         b[pair.col - 1][pair.row - 1] = value
     moved = _solve_right(_mat_mul(g.entries, b), g.entries)
@@ -346,7 +352,7 @@ def random_form(algebra: QuotientAlgebra, bound: int, seed: int) -> LinearForm:
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     values = {
-        pair: Fraction(_rand_in(seed, -bound, bound, index))
+        pair: _rand_in(seed, -bound, bound, index)
         for index, pair in enumerate(algebra.basis)
     }
     return LinearForm.from_dict(algebra, values)
@@ -357,7 +363,7 @@ def random_unipotent(n: int, bound: int, seed: int) -> UnipotentElement:
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     coeffs = {
-        pair: Fraction(_rand_in(seed, -bound, bound, index + 1_000_003))
+        pair: _rand_in(seed, -bound, bound, index + 1_000_003)
         for index, pair in enumerate(all_pairs(n))
     }
     return UnipotentElement.from_strict_lower(n, coeffs)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .core import (
     LinearForm,
@@ -44,18 +44,18 @@ class SkewMatrix:
     """The pairing table f([y_a, y_b]) over the surviving basis."""
 
     dim: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[int | Fraction, ...], ...]
 
 
 def skew_form_matrix(f: LinearForm, ideal: PatternIdeal) -> SkewMatrix:
-    algebra = f.algebra
-    basis = algebra.basis
+    basis = f.algebra.basis
+    values = f.as_dict()
     rows = []
     for a in basis:
         row = []
         for b in basis:
             term = bracket(a, b, ideal)
-            row.append(term.coefficient * f(term.pair) if term.pair is not None else Fraction(0))
+            row.append(term.coefficient * values.get(term.pair, 0))
         rows.append(tuple(row))
     return SkewMatrix(len(basis), tuple(rows))
 
@@ -64,11 +64,8 @@ def _integer_rows(matrix) -> list[list[int]]:
     rows = matrix.entries if isinstance(matrix, SkewMatrix) else matrix
     cleared = []
     for row in rows:
-        values = [Fraction(x) for x in row]
-        scale = 1
-        for x in values:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        cleared.append([int(x * scale) for x in values])
+        scale = lcm(*(x.denominator for x in row))
+        cleared.append([x.numerator * (scale // x.denominator) for x in row])
     return cleared
 
 

@@ -2,8 +2,9 @@
 
 Variables are lower-triangular positions outside the ideal; a monomial is
 stored as a tuple of ((row,col), exponent) entries sorted by (row, col),
-and a polynomial as a dict mapping monomials to nonzero Fractions.  On top
-of the plain ring sit:
+and a polynomial as a dict mapping monomials to nonzero ints, or Fractions
+where not integral; only the parser and the two divisions build Fractions,
+so integer input stays integer.  On top of the plain ring sit:
 
   * the Poisson bracket induced by the structure constants (images inside
     the ideal drop to zero),
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 import re
 
-from .core import LinearForm, Pair, PatternIdeal, bracket, succ_key
+from .core import ConsistencyError, LinearForm, Pair, PatternIdeal, bracket, succ_key
 
 __all__ = [
     "Monomial",
@@ -114,7 +115,7 @@ class Polynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms = {m: Fraction(c) for m, c in (terms or {}).items() if c}
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -122,11 +123,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
-        return cls({ONE: Fraction(c)})
+        return cls({ONE: c})
 
     @classmethod
     def variable(cls, pair) -> "Polynomial":
-        return cls({((Pair(*pair), 1),): Fraction(1)})
+        return cls({((Pair(*pair), 1),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -149,7 +150,7 @@ class Polynomial:
             other = Polynomial.constant(other)
         total = dict(self.terms)
         for m, c in other.terms.items():
-            total[m] = total.get(m, Fraction(0)) + c
+            total[m] = total.get(m, 0) + c
         return Polynomial(total)
 
     __radd__ = __add__
@@ -172,7 +173,7 @@ class Polynomial:
         for mu, cu in self.terms.items():
             for mv, cv in other.terms.items():
                 m = monomial_mul(mu, mv)
-                total[m] = total.get(m, Fraction(0)) + cu * cv
+                total[m] = total.get(m, 0) + cu * cv
         return Polynomial(total)
 
     __rmul__ = __mul__
@@ -225,11 +226,12 @@ def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial | None:
         m = monomial_divide(lm_r, lm_b)
         if m is None:
             return None
-        c = lc_r / lc_b
-        q_terms[m] = q_terms.get(m, Fraction(0)) + c
+        c = Fraction(lc_r, lc_b)
+        q_terms[m] = q_terms.get(m, 0) + c
         rest = rest - Polynomial({m: c}) * b
     q = Polynomial(q_terms)
-    assert q * b == a
+    if q * b != a:
+        raise ConsistencyError("exact division left a remainder")
     return q
 
 
@@ -240,7 +242,7 @@ def partial_derivative(p: Polynomial, v) -> Polynomial:
         for pair, e in m:
             if pair == v:
                 lowered = monomial_divide(m, ((pair, 1),))
-                total[lowered] = total.get(lowered, Fraction(0)) + c * e
+                total[lowered] = total.get(lowered, 0) + c * e
     return Polynomial(total)
 
 
@@ -260,20 +262,20 @@ def poisson_bracket(a: Polynomial, b: Polynomial, ideal: PatternIdeal) -> Polyno
                         monomial_mul(rest_u, rest_v), ((term.pair, 1),)
                     )
                     coeff = cu * cv * ea * eb * term.coefficient
-                    total[m] = total.get(m, Fraction(0)) + coeff
+                    total[m] = total.get(m, 0) + coeff
     return Polynomial(total)
 
 
-def evaluate(p: Polynomial, f: LinearForm) -> Fraction:
+def evaluate(p: Polynomial, f: LinearForm) -> int | Fraction:
     basis = set(f.algebra.basis)
     values = f.as_dict()
-    total = Fraction(0)
+    total = 0
     for m, c in p.terms.items():
         prod = c
         for pair, e in m:
             if pair not in basis:
                 raise MissingCoordinateError(pair)
-            prod *= values.get(pair, Fraction(0)) ** e
+            prod *= values.get(pair, 0) ** e
         total += prod
     return total
 
@@ -350,17 +352,16 @@ def parse_polynomial(text: str) -> Polynomial:
     i = 0
     first = True
     while i < len(tokens):
-        sign = 1
+        coeff = 1
         kind, value, pos = tokens[i]
         if kind == "op" and value in "+-":
             if first and value == "+":
                 raise PolynomialSyntaxError("unexpected leading '+'", pos)
-            sign = -1 if value == "-" else 1
+            coeff = -1 if value == "-" else 1
             i += 1
         elif not first:
             raise PolynomialSyntaxError("expected '+' or '-' between terms", pos)
         first = False
-        coeff = Fraction(sign)
         exponents: dict = {}
         expect_factor = True
         saw_factor = False
@@ -450,7 +451,7 @@ def loc_mul(a: LocalizedElement, b: LocalizedElement) -> LocalizedElement:
 
 
 def loc_scale(a: LocalizedElement, c) -> LocalizedElement:
-    return LocalizedElement(a.num * Fraction(c), dict(a.den))
+    return LocalizedElement(a.num * c, dict(a.den))
 
 
 def loc_divide(a: LocalizedElement, z: LocalizedElement, index: int, z_table) -> LocalizedElement:
@@ -460,7 +461,8 @@ def loc_divide(a: LocalizedElement, z: LocalizedElement, index: int, z_table) ->
     picks up the pivot's own formal denominator, expanded, and the z_index
     exponent grows by one.
     """
-    assert z.num == z_table[index - 1]
+    if z.num != z_table[index - 1]:
+        raise ConsistencyError(f"the pivot is not z_{index} of the table")
     num = a.num * expand_denominator(z.den, z_table)
     den = dict(a.den)
     den[index] = den.get(index, 0) + 1
@@ -476,7 +478,7 @@ def loc_evaluate(a: LocalizedElement, f: LinearForm, z_table) -> Fraction:
     bottom = evaluate(expand_denominator(a.den, z_table), f)
     if bottom == 0:
         raise ZeroDivisionError("denominator vanishes at the given form")
-    return evaluate(a.num, f) / bottom
+    return Fraction(evaluate(a.num, f), bottom)
 
 
 def loc_poisson_bracket(

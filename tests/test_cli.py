@@ -306,3 +306,29 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "index=1\n"
+
+
+def test_optimized_interpreter_keeps_outputs_and_checks():
+    # `python -O` strips assert statements; the report and the typed checks must not change
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "orbitdiag", "verify", "--max-n", "5", "--seed", "1"],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 0
+    assert result.stdout == json.dumps(run_verify(5, 5, 1, 1000)[0], indent=2) + "\n"
+    wrong_pivot = (
+        "from orbitdiag.core import ConsistencyError, Pair\n"
+        "from orbitdiag.polyring import LocalizedElement, Polynomial, loc_divide\n"
+        "y21, y31 = (LocalizedElement(Polynomial.variable(Pair(r, 1))) for r in (2, 3))\n"
+        "try:\n"
+        "    loc_divide(y31, y21, 1, (y31.num,))\n"
+        "except ConsistencyError:\n"
+        "    print('raised')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", wrong_pivot], capture_output=True, text=True, check=False
+    )
+    assert result.returncode == 0
+    assert result.stdout == "raised\n"

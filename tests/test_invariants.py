@@ -1,8 +1,19 @@
 """Invariant construction: step images, centrality, triangularity, relations."""
 
+from fractions import Fraction
+
 import pytest
 
-from orbitdiag.core import Pair, enumerate_pattern_ideals, validate_pattern_ideal
+from orbitdiag.core import (
+    LinearForm,
+    Pair,
+    QuotientAlgebra,
+    coadjoint_act,
+    enumerate_pattern_ideals,
+    random_form,
+    random_unipotent,
+    validate_pattern_ideal,
+)
 from orbitdiag.diagram import b_set, build_diagram
 from orbitdiag.invariants import (
     InconsistentStateError,
@@ -16,7 +27,7 @@ from orbitdiag.invariants import (
     verify_relations,
     weyl_pairs,
 )
-from orbitdiag.polyring import Polynomial, canonical_string
+from orbitdiag.polyring import Polynomial, canonical_string, evaluate
 
 EXAMPLE7 = validate_pattern_ideal(7, [(5, 1), (6, 1), (7, 1), (7, 2)])
 
@@ -288,3 +299,28 @@ def test_build_with_check_succeeds_up_to_n5():
                 assert z.degree_in(xi) == 1
                 for pair in ideal.members:
                     assert z.degree_in(pair) == 0
+
+
+# --- scalar types ------------------------------------------------------------------
+
+
+def test_scalars_stay_int_on_integer_input_up_to_n6():
+    # a scalar is an int, or a Fraction only when it is not integral; never a float
+    def exact(x):
+        return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+    for n in range(2, 7):
+        for index, ideal in enumerate(enumerate_pattern_ideals(n)):
+            algebra = QuotientAlgebra.from_ideal(ideal)
+            zs = build_invariants(build_diagram(ideal), check=False)
+            f = random_form(algebra, 100, index)
+            g = random_unipotent(n, 5, index)
+            moved = coadjoint_act(g, f, ideal)
+            scalars = [c for z in zs for c in z.terms.values()]
+            scalars += [value for _, value in f.values + moved.values]
+            scalars += [x for row in g.entries for x in row]
+            scalars += [evaluate(z, form) for z in zs for form in (f, moved)]
+            assert all(type(x) is int for x in scalars), ideal
+            halves = LinearForm.from_dict(algebra, {p: Fraction(v, 2) for p, v in f.values})
+            moved = coadjoint_act(g, halves, ideal)
+            assert all(exact(value) for _, value in halves.values + moved.values), ideal

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orbitdiag.core import LinearForm, Pair, QuotientAlgebra, random_form, validate_pattern_ideal
+from orbitdiag.core import (
+    ConsistencyError,
+    LinearForm,
+    Pair,
+    QuotientAlgebra,
+    random_form,
+    validate_pattern_ideal,
+)
 from orbitdiag.polyring import (
     LocalizedElement,
     MissingCoordinateError,
@@ -92,6 +99,10 @@ def test_exact_divide_round_trip():
     a = y(3, 2) * y(4, 1) - y(3, 1) * y(4, 2)
     assert exact_divide(a * y(4, 1), y(4, 1)) == a
     assert exact_divide(a * a, a) == a
+    # a non-integral quotient is a Fraction, never the float that int / int gives
+    half = exact_divide(y(2, 1), 2 * y(2, 1))
+    assert half == Polynomial.constant(Fraction(1, 2))
+    assert type(half.terms[()]) is Fraction
 
 
 def test_exact_divide_failures():
@@ -301,7 +312,7 @@ def test_loc_divide_tracks_the_table():
     q = loc_divide(LocalizedElement(y(2, 1), {1: 1}), plain(y(4, 1)), 1, table)
     assert q.num == y(2, 1)
     assert q.den == {1: 2}
-    with pytest.raises(AssertionError):
+    with pytest.raises(ConsistencyError):
         loc_divide(plain(y(2, 1)), plain(y(3, 1)), 1, table)
 
 
@@ -310,6 +321,8 @@ def test_loc_evaluate_matches_fraction_arithmetic():
     f = algebra_form({(2, 1): 3, (4, 1): 2})
     a = LocalizedElement(y(2, 1), {1: 1})
     assert loc_evaluate(a, f, table) == Fraction(3, 2)
+    # 1.5 == Fraction(3, 2) too: only the type shows the quotient stayed exact
+    assert type(loc_evaluate(a, f, table)) is Fraction
     zero_den = algebra_form({(2, 1): 3})
     with pytest.raises(ZeroDivisionError):
         loc_evaluate(a, zero_den, table)

@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from orbitdiag import core, diagram
+import orbitdiag
+
+MODULES = sorted(Path(orbitdiag.__file__).parent.glob("*.py"))
 
 
-@pytest.mark.parametrize("module", [core, diagram], ids=lambda m: m.__name__)
-def test_checks_do_not_use_assert(module):
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"orbitdiag.{p.stem}")
+def test_checks_do_not_use_assert(path):
     # `python -O` strips assert statements, so a check written as one
-    # silently stops running; these modules raise typed errors instead.
-    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    # silently stops running; the package raises typed errors instead.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
