@@ -53,14 +53,10 @@ from .polyring import MissingCoordinateError, canonical_string
 __all__ = [
     "IdealSpec",
     "IdealSyntaxError",
-    "OracleReport",
-    "StepSummary",
-    "ResultBundle",
     "parse_ideal_spec",
     "render_diagram",
     "make_bundle",
     "emit_json",
-    "bundle_from_json",
     "run_verify",
     "dispatch",
     "main",
@@ -151,71 +147,24 @@ def render_diagram(d: Diagram, style: str = "ascii", steps: bool = False) -> str
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    index: int
-    generic_rank: int
-    trials: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class StepSummary:
-    xi: Pair
-    p: int
-    minus: tuple[Pair, ...]
-    plus: tuple[Pair, ...]
-
-
-@dataclass(frozen=True)
-class ResultBundle:
-    n: int
-    ideal: tuple[Pair, ...]
-    crosses: tuple[Pair, ...]
-    c_plus: tuple[Pair, ...]
-    c_minus: tuple[Pair, ...]
-    steps: tuple[StepSummary, ...]
-    index: int
-    max_orbit_dim: int
-    invariants: tuple[str, ...]
-    oracle: OracleReport | None = None
-
-    def __post_init__(self):
-        dim = self.n * (self.n - 1) // 2 - len(self.ideal)
-        if self.index + self.max_orbit_dim != dim:
-            raise ValueError("index plus orbit dimension must equal dim L")
-
-
-def make_bundle(
-    d: Diagram, invariant_strings: list[str], oracle: OracleReport | None = None
-) -> ResultBundle:
-    return ResultBundle(
-        n=d.n,
-        ideal=tuple(sorted(d.ideal.members, key=succ_key)),
-        crosses=d.xi_list,
-        c_plus=d.pluses,
-        c_minus=d.minuses,
-        steps=tuple(
-            StepSummary(rec.xi, rec.p, rec.minus, rec.plus) for rec in d.steps
-        ),
-        index=index_of(d),
-        max_orbit_dim=max_orbit_dim(d),
-        invariants=tuple(invariant_strings),
-        oracle=oracle,
-    )
-
-
 def _pair_list(pairs) -> list[list[int]]:
     return [[p.row, p.col] for p in pairs]
 
 
-def emit_json(bundle: ResultBundle) -> str:
+def make_bundle(d: Diagram, invariant_strings: list[str], oracle: dict | None = None) -> dict:
+    """The JSON document for one ideal, read off its diagram.
+
+    oracle, when given, is {"index", "generic_rank", "trials", "seed"}.
+    """
+    index, orbit_dim = index_of(d), max_orbit_dim(d)
+    if index + orbit_dim != d.ideal.dim_quotient:
+        raise ConsistencyError("index plus orbit dimension must equal dim L")
     doc = {
-        "n": bundle.n,
-        "ideal": _pair_list(bundle.ideal),
-        "S": _pair_list(bundle.crosses),
-        "C_plus": _pair_list(bundle.c_plus),
-        "C_minus": _pair_list(bundle.c_minus),
+        "n": d.n,
+        "ideal": _pair_list(sorted(d.ideal.members, key=succ_key)),
+        "S": _pair_list(d.xi_list),
+        "C_plus": _pair_list(d.pluses),
+        "C_minus": _pair_list(d.minuses),
         "steps": [
             {
                 "xi": [rec.xi.row, rec.xi.col],
@@ -223,52 +172,19 @@ def emit_json(bundle: ResultBundle) -> str:
                 "minus": _pair_list(rec.minus),
                 "plus": _pair_list(rec.plus),
             }
-            for rec in bundle.steps
+            for rec in d.steps
         ],
-        "index": bundle.index,
-        "max_orbit_dim": bundle.max_orbit_dim,
-        "invariants": list(bundle.invariants),
+        "index": index,
+        "max_orbit_dim": orbit_dim,
+        "invariants": list(invariant_strings),
     }
-    if bundle.oracle is not None:
-        doc["oracle"] = {
-            "index": bundle.oracle.index,
-            "generic_rank": bundle.oracle.generic_rank,
-            "trials": bundle.oracle.trials,
-            "seed": bundle.oracle.seed,
-        }
+    if oracle is not None:
+        doc["oracle"] = oracle
+    return doc
+
+
+def emit_json(doc: dict) -> str:
     return json.dumps(doc, indent=2)
-
-
-def _pairs_from(doc) -> tuple[Pair, ...]:
-    return tuple(Pair(int(r), int(c)) for r, c in doc)
-
-
-def bundle_from_json(text: str) -> ResultBundle:
-    doc = json.loads(text)
-    oracle = None
-    if "oracle" in doc:
-        o = doc["oracle"]
-        oracle = OracleReport(o["index"], o["generic_rank"], o["trials"], o["seed"])
-    return ResultBundle(
-        n=doc["n"],
-        ideal=_pairs_from(doc["ideal"]),
-        crosses=_pairs_from(doc["S"]),
-        c_plus=_pairs_from(doc["C_plus"]),
-        c_minus=_pairs_from(doc["C_minus"]),
-        steps=tuple(
-            StepSummary(
-                Pair(*step["xi"]),
-                step["p"],
-                _pairs_from(step["minus"]),
-                _pairs_from(step["plus"]),
-            )
-            for step in doc["steps"]
-        ),
-        index=doc["index"],
-        max_orbit_dim=doc["max_orbit_dim"],
-        invariants=tuple(doc["invariants"]),
-        oracle=oracle,
-    )
 
 
 def _ideal_label(ideal: PatternIdeal) -> str:
@@ -462,9 +378,12 @@ def _run(args) -> int:
                 oracle_index, oracle_rank = oracle_mod.index_oracle(
                     ideal, args.trials, args.bound, args.seed
                 )
-                oracle_report = OracleReport(
-                    oracle_index, oracle_rank, args.trials, args.seed
-                )
+                oracle_report = {
+                    "index": oracle_index,
+                    "generic_rank": oracle_rank,
+                    "trials": args.trials,
+                    "seed": args.seed,
+                }
             print(emit_json(make_bundle(d, strings, oracle_report)))
         else:
             print(render_diagram(d, args.style, steps=args.steps))

@@ -80,7 +80,7 @@ class ConsistencyError(RuntimeError):
 
 def all_pairs(n: int) -> list[Pair]:
     """All positions of A for size n, greatest first in the column order."""
-    return sorted((Pair(i, j) for j in range(1, n) for i in range(j + 1, n + 1)), key=succ_key)
+    return [Pair(i, j) for j in range(1, n) for i in range(n, j, -1)]
 
 
 def succ_key(pair: Pair) -> tuple[int, int]:

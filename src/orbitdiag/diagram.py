@@ -92,22 +92,13 @@ class Diagram:
     def xi_list(self) -> tuple[Pair, ...]:
         return tuple(rec.xi for rec in self.steps)
 
-    def cells_of(self, kind: SymbolKind) -> tuple[Pair, ...]:
-        return tuple(
-            p for p in all_pairs(self.n) if self.cells[p].kind is kind
-        )
-
-    @property
-    def crosses(self) -> tuple[Pair, ...]:
-        return self.cells_of(SymbolKind.CROSS)
-
     @property
     def pluses(self) -> tuple[Pair, ...]:
-        return self.cells_of(SymbolKind.PLUS)
+        return tuple(sorted((p for rec in self.steps for p in rec.plus), key=succ_key))
 
     @property
     def minuses(self) -> tuple[Pair, ...]:
-        return self.cells_of(SymbolKind.MINUS)
+        return tuple(sorted((p for rec in self.steps for p in rec.minus), key=succ_key))
 
 
 def build_diagram(ideal: PatternIdeal) -> Diagram:

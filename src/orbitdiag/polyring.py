@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 import re
 
-from .core import ConsistencyError, LinearForm, Pair, PatternIdeal, bracket, succ_key
+from .core import ConsistencyError, LinearForm, Pair, PatternIdeal, _exact, bracket, succ_key
 
 __all__ = [
     "Monomial",
@@ -106,7 +106,7 @@ def term_sort_key(u: Monomial):
     """Graded order, ties broken lexicographically with greater variables
     (in the column order on positions) weighted first.  Ascending sort by
     this key lists terms from greatest to least."""
-    return (-monomial_degree(u), tuple((succ_key(p), -e) for p, e in sorted(u, key=lambda ve: succ_key(ve[0]))))
+    return (-monomial_degree(u), sorted((succ_key(p), -e) for p, e in u))
 
 
 class Polynomial:
@@ -252,11 +252,11 @@ def poisson_bracket(a: Polynomial, b: Polynomial, ideal: PatternIdeal) -> Polyno
     for mu, cu in a.terms.items():
         for mv, cv in b.terms.items():
             for alpha, ea in mu:
-                rest_u = monomial_divide(mu, ((alpha, 1),))
                 for beta, eb in mv:
                     term = bracket(alpha, beta, ideal)
                     if term.pair is None:
                         continue
+                    rest_u = monomial_divide(mu, ((alpha, 1),))
                     rest_v = monomial_divide(mv, ((beta, 1),))
                     m = monomial_mul(
                         monomial_mul(rest_u, rest_v), ((term.pair, 1),)
@@ -336,7 +336,7 @@ def _tokenize(text: str):
             pair = Pair(int(match.group("row")), int(match.group("col")))
             tokens.append(("var", pair, match.start("var")))
         elif match.group("num"):
-            tokens.append(("num", Fraction(match.group("num")), match.start("num")))
+            tokens.append(("num", _exact(match.group("num")), match.start("num")))
         else:
             tokens.append(("op", match.group("op"), match.start("op")))
         pos = match.end()
@@ -348,7 +348,7 @@ def parse_polynomial(text: str) -> Polynomial:
     tokens = _tokenize(text)
     if not tokens:
         raise PolynomialSyntaxError("empty input", 0)
-    result = Polynomial.zero()
+    total: dict = {}
     i = 0
     first = True
     while i < len(tokens):
@@ -392,8 +392,9 @@ def parse_polynomial(text: str) -> Polynomial:
         if expect_factor or not saw_factor:
             where = tokens[i][2] if i < len(tokens) else len(text)
             raise PolynomialSyntaxError("incomplete term", where)
-        result = result + Polynomial({monomial_from(exponents): coeff})
-    return result
+        m = monomial_from(exponents)
+        total[m] = total.get(m, 0) + coeff
+    return Polynomial(total)
 
 
 # --- localized elements ----------------------------------------------------

@@ -12,9 +12,6 @@ from orbitdiag import invariants as invariants_mod
 from orbitdiag.cli import (
     IdealSpec,
     IdealSyntaxError,
-    OracleReport,
-    ResultBundle,
-    bundle_from_json,
     dispatch,
     emit_json,
     make_bundle,
@@ -23,7 +20,7 @@ from orbitdiag.cli import (
     run_verify,
 )
 from orbitdiag.core import ConsistencyError, NotAnIdealError, Pair, validate_pattern_ideal
-from orbitdiag.diagram import build_diagram
+from orbitdiag.diagram import Diagram, build_diagram
 from orbitdiag.invariants import CentralityError
 from orbitdiag.polyring import Polynomial, canonical_string
 
@@ -97,42 +94,26 @@ def test_render_tiny():
 def bundle_with_oracle():
     d = example_diagram()
     strings = [canonical_string(z) for z in invariants_mod.build_invariants(d)]
-    return make_bundle(d, strings, OracleReport(5, 12, 5, 42))
+    oracle = {"index": 5, "generic_rank": 12, "trials": 5, "seed": 42}
+    return make_bundle(d, strings, oracle)
 
 
 def test_bundle_fields():
     b = bundle_with_oracle()
-    assert b.n == 7
-    assert b.index == 5
-    assert b.max_orbit_dim == 12
-    assert b.crosses[0] == Pair(4, 1)
-    assert len(b.steps) == 5
-    assert b.steps[0].p == 5
-    assert b.invariants[0] == "y[4,1]"
+    assert b["n"] == 7
+    assert b["index"] == 5
+    assert b["max_orbit_dim"] == 12
+    assert b["S"][0] == [4, 1]
+    assert len(b["steps"]) == 5
+    assert b["steps"][0]["p"] == 5
+    assert b["invariants"][0] == "y[4,1]"
 
 
 def test_bundle_rejects_inconsistent_counts():
-    b = bundle_with_oracle()
-    with pytest.raises(ValueError):
-        ResultBundle(
-            n=b.n,
-            ideal=b.ideal,
-            crosses=b.crosses,
-            c_plus=b.c_plus,
-            c_minus=b.c_minus,
-            steps=b.steps,
-            index=b.index + 1,
-            max_orbit_dim=b.max_orbit_dim,
-            invariants=b.invariants,
-        )
-
-
-def test_json_round_trip():
-    for b in [bundle_with_oracle(), make_bundle(example_diagram(), [])]:
-        text = emit_json(b)
-        again = bundle_from_json(text)
-        assert again == b
-        assert emit_json(again) == text
+    d = example_diagram()
+    short = Diagram(d.ideal, d.cells, d.steps[:-1])
+    with pytest.raises(ConsistencyError):
+        make_bundle(short, [])
 
 
 def test_json_layout():
@@ -208,6 +189,12 @@ def test_index_plain(capsys):
 def test_diagram_command_prints_the_golden(capsys):
     assert dispatch(["diagram", "--ideal", EXAMPLE_SPEC]) == 0
     assert capsys.readouterr().out == (DATA / "n7_example_final.txt").read_text()
+
+
+def test_diagram_json_prints_the_golden(capsys):
+    argv = ["diagram", "--ideal", EXAMPLE_SPEC, "--json", "--oracle", "--seed", "42"]
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out == (DATA / "n7_example_bundle.json").read_text()
 
 
 def test_diagram_json(capsys):

@@ -63,12 +63,12 @@ def test_example_step_records():
 
 def test_example_symbol_totals():
     d = example_diagram()
-    assert len(d.crosses) == 5
+    assert len(d.xi_list) == 5
     assert len(d.pluses) == 6
     assert len(d.minuses) == 6
     assert len(d.cells) == 21
-    bullets = d.cells_of(SymbolKind.BULLET)
-    assert set(bullets) == d.ideal.members
+    bullets = {p for p, symbol in d.cells.items() if symbol.kind is SymbolKind.BULLET}
+    assert bullets == d.ideal.members
 
 
 def test_example_survivor_chain():
@@ -278,7 +278,7 @@ def test_every_cell_filled_exactly_once():
         d = build_diagram(ideal)
         basis = QuotientAlgebra.from_ideal(ideal).basis
         assert set(d.cells) == set(basis) | ideal.members
-        marked = len(d.crosses) + len(d.pluses) + len(d.minuses)
+        marked = len(d.xi_list) + len(d.pluses) + len(d.minuses)
         assert marked == len(basis)
 
 

@@ -27,7 +27,7 @@ from orbitdiag.invariants import (
     verify_relations,
     weyl_pairs,
 )
-from orbitdiag.polyring import Polynomial, canonical_string, evaluate
+from orbitdiag.polyring import Polynomial, canonical_string, evaluate, parse_polynomial
 
 EXAMPLE7 = validate_pattern_ideal(7, [(5, 1), (6, 1), (7, 1), (7, 2)])
 
@@ -324,3 +324,16 @@ def test_scalars_stay_int_on_integer_input_up_to_n6():
             halves = LinearForm.from_dict(algebra, {p: Fraction(v, 2) for p, v in f.values})
             moved = coadjoint_act(g, halves, ideal)
             assert all(exact(value) for _, value in halves.values + moved.values), ideal
+
+
+def test_parsed_invariants_keep_int_coefficients():
+    # the parser is an input boundary: integral numbers come back as ints
+    assert [type(c) for c in parse_polynomial("2*y[2,1] - 3").terms.values()] == [int, int]
+    for n in range(2, 7):
+        for index, ideal in enumerate(enumerate_pattern_ideals(n)):
+            f = random_form(QuotientAlgebra.from_ideal(ideal), 100, index)
+            for z in build_invariants(build_diagram(ideal), check=False):
+                parsed = parse_polynomial(canonical_string(z))
+                assert parsed == z
+                assert all(type(c) is int for c in parsed.terms.values()), ideal
+                assert type(evaluate(parsed, f)) is int, ideal
