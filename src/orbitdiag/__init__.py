@@ -70,7 +70,6 @@ from .polyring import (
     PolynomialSyntaxError,
     canonical_string,
     evaluate,
-    exact_divide,
     parse_polynomial,
     partial_derivative,
     poisson_bracket,

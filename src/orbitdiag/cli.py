@@ -218,8 +218,10 @@ def run_verify(max_n: int, trials: int, seed: int, bound: int) -> tuple[dict, bo
     Exhaustive over pattern ideals for n <= 6, a 25-ideal sample for
     n in {7, 8}.  Symbolic checks scale down with n (centrality, shape
     and full step-by-step relation verification for n <= 5, construction
-    only above); the numeric oracles run everywhere.  Returns
-    (report, all_passed) with a deterministic report layout.
+    only above); the numeric oracles run everywhere.  Every failure string
+    starts with "<ideal> [seed S]", so `index --oracle --seed S --ideal
+    "<ideal>"` with the same trials and bound replays the agreement check.
+    Returns (report, all_passed) with a deterministic report layout.
     """
     agreement = {"checked": 0, "failures": []}
     structural = {"checked": 0, "failures": []}
@@ -234,20 +236,20 @@ def run_verify(max_n: int, trials: int, seed: int, bound: int) -> tuple[dict, bo
             ideals = sample_pattern_ideals(n, 25, seed)
         for position, ideal in enumerate(ideals):
             total += 1
-            label = _ideal_label(ideal)
             case_seed = counter_rand(seed, 0x1D, n, position)
+            where = f"{_ideal_label(ideal)} [seed {case_seed}]"
             d = build_diagram(ideal)
             structural["checked"] += 1
             problem = _structural_problem(d)
             if problem:
-                structural["failures"].append(f"{label}: {problem}")
+                structural["failures"].append(f"{where}: {problem}")
             agreement["checked"] += 1
             oracle_index, oracle_rank = oracle_mod.index_oracle(
                 ideal, trials, bound, case_seed
             )
             if oracle_index != index_of(d) or oracle_rank != max_orbit_dim(d):
                 agreement["failures"].append(
-                    f"{label}: diagram ({index_of(d)}, {max_orbit_dim(d)})"
+                    f"{where}: diagram ({index_of(d)}, {max_orbit_dim(d)})"
                     f" vs oracle ({oracle_index}, {oracle_rank})"
                 )
             try:
@@ -259,7 +261,7 @@ def run_verify(max_n: int, trials: int, seed: int, bound: int) -> tuple[dict, bo
                         report = invariants_mod.verify_relations(state, d, i)
                         if not report.passed:
                             symbolic["failures"].append(
-                                f"{label}: step {i}: {report.counterexample}"
+                                f"{where}: step {i}: {report.counterexample}"
                             )
                         state = invariants_mod.theta_step(state, d, i)
                 else:
@@ -267,16 +269,16 @@ def run_verify(max_n: int, trials: int, seed: int, bound: int) -> tuple[dict, bo
                 invariance["checked"] += 1
                 if not oracle_mod.invariance_oracle(zs, ideal, trials, case_seed):
                     invariance["failures"].append(
-                        f"{label}: an invariant moved under the coadjoint action"
+                        f"{where}: an invariant moved under the coadjoint action"
                     )
                 independence["checked"] += 1
                 jrank = oracle_mod.generic_jacobian_rank(zs, ideal, case_seed, bound)
                 if jrank != len(zs):
                     independence["failures"].append(
-                        f"{label}: jacobian rank {jrank}, expected {len(zs)}"
+                        f"{where}: jacobian rank {jrank}, expected {len(zs)}"
                     )
             except Exception as exc:  # noqa: BLE001 -- a bad invariant must fail the run, not kill it
-                symbolic["failures"].append(f"{label}: {exc!r}")
+                symbolic["failures"].append(f"{where}: {exc!r}")
     checks = {
         "diagram_oracle_agreement": agreement,
         "structural": structural,

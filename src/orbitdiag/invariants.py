@@ -16,19 +16,21 @@ no-cancellation arithmetic may leave factors of earlier z's in it.
 
 Each z is checked two ways: it Poisson-commutes with every coordinate,
 and it has the staircase shape z = y_xi * Q + P with Q an exact product
-of earlier z's and P supported on strictly greater variables.
+of earlier z's and P supported on strictly greater variables.  The shape
+needs no search: each earlier z_j has degree 1 in its own pivot, its
+least variable, which no older z contains, so the exponents of Q are
+read off its degrees in those pivots and one product certifies them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Pair, PatternIdeal, all_pairs, bracket, order_gt
+from .core import Pair, PatternIdeal, all_pairs, bracket, order_gt, succ_key
 from .diagram import Diagram, b_set, classify_step
 from .polyring import (
     LocalizedElement,
     Polynomial,
-    exact_divide,
     loc_add,
     loc_divide,
     loc_equal,
@@ -185,27 +187,29 @@ def triangular_decompose(
 ) -> tuple[dict[int, int], Polynomial]:
     """Split z as y_xi * Q + P and certify the staircase shape.
 
-    Checks, in order: z has degree exactly 1 in y_xi; Q = dz/dy_xi factors
-    completely as a product of powers of the earlier z's (greedily, newest
-    first, each divided out as often as possible, residual exactly 1); and
-    P = z - y_xi*Q only involves variables strictly greater than xi.
-    Returns the exponent map of Q and the remainder P.
+    Checks, in order: z has degree exactly 1 in y_xi; Q = dz/dy_xi is a
+    product of powers of the earlier z's; and P = z - y_xi*Q only involves
+    variables strictly greater than xi.  Newest first, e_j is Q's degree
+    in the least variable of z_j (its pivot, absent from older z's) less
+    what the newer factors give; one product comparison then certifies Q
+    for any `earlier`.  Returns the exponent map of Q and the remainder P.
     """
     xi = Pair(*xi)
     if z.degree_in(xi) != 1:
         raise NotTriangularError("degree in the pivot variable is not 1", (tuple(xi), z.degree_in(xi)))
     q = partial_derivative(z, xi)
     exponents: dict[int, int] = {}
-    residual = q
+    product = Polynomial.constant(1)
     for j in range(len(earlier), 0, -1):
-        while True:
-            candidate = exact_divide(residual, earlier[j - 1])
-            if candidate is None:
-                break
-            residual = candidate
-            exponents[j] = exponents.get(j, 0) + 1
-    if residual != Polynomial.constant(1):
-        raise NotTriangularError("pivot coefficient is not a product of earlier invariants", residual)
+        least = max(earlier[j - 1].variables(), key=succ_key, default=None)
+        if least is None:
+            continue
+        e = q.degree_in(least) - product.degree_in(least)
+        if e > 0:
+            exponents[j] = e
+            product = product * earlier[j - 1] ** e
+    if product != q:
+        raise NotTriangularError("pivot coefficient is not a product of earlier invariants", q)
     remainder = z - Polynomial.variable(xi) * q
     for v in sorted(remainder.variables()):
         if not order_gt(v, xi):

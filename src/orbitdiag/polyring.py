@@ -3,8 +3,8 @@
 Variables are lower-triangular positions outside the ideal; a monomial is
 stored as a tuple of ((row,col), exponent) entries sorted by (row, col),
 and a polynomial as a dict mapping monomials to nonzero ints, or Fractions
-where not integral; only the parser and the two divisions build Fractions,
-so integer input stays integer.  On top of the plain ring sit:
+where not integral; only the parser and loc_evaluate's division build
+Fractions, so integer input stays integer.  On top of the plain ring sit:
 
   * the Poisson bracket induced by the structure constants (images inside
     the ideal drop to zero),
@@ -33,7 +33,6 @@ __all__ = [
     "monomial_divide",
     "monomial_degree",
     "term_sort_key",
-    "exact_divide",
     "poisson_bracket",
     "partial_derivative",
     "evaluate",
@@ -204,35 +203,8 @@ class Polynomial:
     def variables(self) -> set:
         return {p for m in self.terms for p, _ in m}
 
-    def leading_term(self):
-        m = min(self.terms, key=term_sort_key)
-        return m, self.terms[m]
-
     def __repr__(self) -> str:
         return f"Polynomial({canonical_string(self)!r})"
-
-
-def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial | None:
-    """Quotient q with a = q*b, or None when b does not divide a exactly."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero():
-        return Polynomial.zero()
-    lm_b, lc_b = b.leading_term()
-    q_terms: dict = {}
-    rest = a
-    while rest:
-        lm_r, lc_r = rest.leading_term()
-        m = monomial_divide(lm_r, lm_b)
-        if m is None:
-            return None
-        c = Fraction(lc_r, lc_b)
-        q_terms[m] = q_terms.get(m, 0) + c
-        rest = rest - Polynomial({m: c}) * b
-    q = Polynomial(q_terms)
-    if q * b != a:
-        raise ConsistencyError("exact division left a remainder")
-    return q
 
 
 def partial_derivative(p: Polynomial, v) -> Polynomial:
@@ -394,7 +366,7 @@ def parse_polynomial(text: str) -> Polynomial:
             raise PolynomialSyntaxError("incomplete term", where)
         m = monomial_from(exponents)
         total[m] = total.get(m, 0) + coeff
-    return Polynomial(total)
+    return Polynomial({m: _exact(c) for m, c in total.items()})
 
 
 # --- localized elements ----------------------------------------------------

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from orbitdiag import invariants as invariants_mod
+from orbitdiag import oracle as oracle_mod
 from orbitdiag.cli import (
     IdealSpec,
     IdealSyntaxError,
@@ -167,6 +169,33 @@ def test_run_verify_survives_a_crashing_builder(monkeypatch):
     report, passed = run_verify(2, 2, 0, 50)
     assert not passed
     assert any("boom" in f for f in report["checks"]["symbolic"]["failures"])
+
+
+def test_verify_failures_name_their_case_seed(monkeypatch):
+    calls = []
+
+    def disagree(ideal, trials, bound, seed):
+        calls.append((ideal, trials, bound, seed))
+        return -1, -1
+
+    monkeypatch.setattr(oracle_mod, "index_oracle", disagree)
+    monkeypatch.setattr(oracle_mod, "invariance_oracle", lambda zs, ideal, trials, seed: False)
+    report, passed = run_verify(3, 2, 0, 50)
+    assert not passed
+    agreement = report["checks"]["diagram_oracle_agreement"]["failures"]
+    invariance = report["checks"]["invariance"]["failures"]
+    assert len(agreement) == len(invariance) == len(calls) == 7
+    for (ideal, trials, bound, seed), first, second in zip(list(calls), agreement, invariance):
+        match = re.fullmatch(r"(.*) \[seed (\d+)\]: diagram .*", first)
+        label, case_seed = match.group(1), int(match.group(2))
+        assert case_seed == seed
+        assert second.startswith(f"{label} [seed {seed}]: ")
+        # the label and seed alone replay the same oracle call
+        assert dispatch([
+            "index", "--oracle", "--trials", str(trials), "--bound", str(bound),
+            "--seed", str(case_seed), "--ideal", label,
+        ]) == 1
+        assert calls[-1] == (ideal, trials, bound, seed)
 
 
 # --- dispatch and exit codes ----------------------------------------------------------------

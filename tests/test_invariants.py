@@ -1,5 +1,6 @@
 """Invariant construction: step images, centrality, triangularity, relations."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -212,10 +213,45 @@ def test_triangular_rejects_bad_shapes():
         triangular_decompose(y(3, 1) * y(2, 1) + y(3, 2), Pair(3, 1), ())
     assert "product" in info.value.reason
 
+    # the exponent read off Q's degree in z_1's pivot y[4,1] is 1, but
+    # z_1^1 = y[4,1] is not Q = y[4,1] + 1; the witness is Q
+    with pytest.raises(NotTriangularError) as info:
+        triangular_decompose(y(3, 1) * (y(4, 1) + 1), Pair(3, 1), [y(4, 1)])
+    assert "product" in info.value.reason
+    assert info.value.witness == y(4, 1) + 1
+
+    # an earlier entry without variables has no pivot, so no exponent is
+    # read for it and nothing is divided by it
+    with pytest.raises(NotTriangularError) as info:
+        triangular_decompose(2 * y(3, 1), Pair(3, 1), [Polynomial.constant(2)])
+    assert "product" in info.value.reason
+    assert info.value.witness == Polynomial.constant(2)
+    assert triangular_decompose(y(3, 1), Pair(3, 1), [Polynomial.zero()]) == ({}, Polynomial.zero())
+
     with pytest.raises(NotTriangularError) as info:
         triangular_decompose(y(3, 1) + y(2, 1), Pair(3, 1), ())
     assert "remainder" in info.value.reason
     assert info.value.witness == Pair(2, 1)
+
+
+def test_staircase_decomposition_digest_up_to_n7():
+    # every exponent map and remainder for every ideal with n <= 7, hashed;
+    # the digest was recorded from the greedy trial division that the
+    # degree read replaced, so both reach the same exponents
+    digest = hashlib.sha256()
+    for n in range(2, 8):
+        for ideal in enumerate_pattern_ideals(n):
+            d = build_diagram(ideal)
+            zs = build_invariants(d, check=False)
+            for i, z in enumerate(zs, 1):
+                exps, rem = triangular_decompose(z, d.xi_list[i - 1], zs[: i - 1])
+                digest.update(repr((
+                    n, sorted(tuple(p) for p in ideal.members), i,
+                    sorted(exps.items()), canonical_string(rem),
+                )).encode())
+    assert digest.hexdigest() == (
+        "bfdbe0c0f2d517a49ac571e8a652281edf4f2e992cc85998cffa2cfe972afd76"
+    )
 
 
 # --- centrality -----------------------------------------------------------------------

@@ -22,7 +22,6 @@ from orbitdiag.polyring import (
     PolynomialSyntaxError,
     canonical_string,
     evaluate,
-    exact_divide,
     expand_denominator,
     loc_add,
     loc_divide,
@@ -90,34 +89,6 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + Polynomial.zero() == a
     assert a * Polynomial.constant(1) == a
-
-
-# --- division ----------------------------------------------------------------
-
-
-def test_exact_divide_round_trip():
-    a = y(3, 2) * y(4, 1) - y(3, 1) * y(4, 2)
-    assert exact_divide(a * y(4, 1), y(4, 1)) == a
-    assert exact_divide(a * a, a) == a
-    # a non-integral quotient is a Fraction, never the float that int / int gives
-    half = exact_divide(y(2, 1), 2 * y(2, 1))
-    assert half == Polynomial.constant(Fraction(1, 2))
-    assert type(half.terms[()]) is Fraction
-
-
-def test_exact_divide_failures():
-    assert exact_divide(y(2, 1), y(3, 1)) is None
-    # a two-term invariant with a bare-variable pivot dividing only one term
-    z4_like = y(4, 1) * y(4, 3) + y(3, 1) * y(3, 2)
-    assert exact_divide(z4_like, y(4, 1)) is None
-    with pytest.raises(ZeroDivisionError):
-        exact_divide(y(2, 1), Polynomial.zero())
-
-
-@given(polynomials(), polynomials())
-def test_divide_recovers_factor(a, b):
-    if not b.is_zero():
-        assert exact_divide(a * b, b) == a
 
 
 # --- derivatives and the Poisson bracket ----------------------------------------
@@ -227,6 +198,17 @@ def test_parse_examples():
     )
     assert parse_polynomial("-y[2,1] + 5") == 5 - y(2, 1)
     assert parse_polynomial(" 7 ") == Polynomial.constant(7)
+
+
+def test_parse_keeps_integral_coefficients_int():
+    # numbers that multiply or add up to an integer give an int coefficient,
+    # as every integral scalar in the package is stored
+    for text in ("1/2*2*y[2,1]", "1/2*y[2,1] + 1/2*y[2,1]"):
+        p = parse_polynomial(text)
+        assert p == y(2, 1)
+        assert type(p.terms[((Pair(2, 1), 1),)]) is int
+    third = parse_polynomial("1/3*y[2,1] + 1/3*y[2,1]")
+    assert third.terms[((Pair(2, 1), 1),)] == Fraction(2, 3)
 
 
 @given(polynomials())

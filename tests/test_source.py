@@ -29,3 +29,32 @@ def test_all_names_resolve(path):
         "orbitdiag" if path.stem == "__init__" else f"orbitdiag.{path.stem}"
     )
     assert [name for name in getattr(module, "__all__", []) if not hasattr(module, name)] == []
+
+
+
+# Where a `Fraction` may be built: the input normaliser, the --form loader
+# and the one division whose quotient need not be integral.  Everywhere
+# else integer input must stay integer.
+FRACTION_SITES = {("core", "_exact"), ("cli", "_load_form"), ("polyring", "loc_evaluate")}
+
+
+def _fraction_calls(node, owner=None):
+    """(enclosing function, line) of every `Fraction(...)` call under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    if isinstance(node, ast.Call) and "Fraction" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    ):
+        yield owner, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _fraction_calls(child, owner)
+
+
+def test_fraction_built_only_at_boundaries():
+    stray = [
+        (path.stem, owner, line)
+        for path in MODULES
+        for owner, line in _fraction_calls(ast.parse(path.read_text(encoding="utf-8")))
+        if (path.stem, owner) not in FRACTION_SITES
+    ]
+    assert stray == []
