@@ -352,13 +352,22 @@ def _ideal_text(value: str) -> str:
 
 def _load_form(path: str, ideal: PatternIdeal) -> LinearForm:
     with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
+        # objects load as (key, value) tuples, so a repeated key stays visible
+        raw = json.load(handle, object_pairs_hook=tuple)
+    if not isinstance(raw, tuple):
+        raise ValueError('form file must hold one JSON object of "row,col": value entries')
     values = {}
-    for key, value in raw.items():
+    for key, value in raw:
         parts = key.split(",")
         if len(parts) != 2 or not all(p.strip().lstrip("-").isdigit() for p in parts):
             raise ValueError(f"bad coordinate key {key!r} in form file")
-        values[Pair(int(parts[0]), int(parts[1]))] = Fraction(str(value))
+        pair = Pair(int(parts[0]), int(parts[1]))
+        if pair in values:
+            raise ValueError(f"key {key!r} repeats coordinate {pair.row},{pair.col} in form file")
+        try:
+            values[pair] = Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad value {value!r} for key {key!r} in form file") from None
     return LinearForm.from_dict(QuotientAlgebra.from_ideal(ideal), values)
 
 

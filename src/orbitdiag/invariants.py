@@ -259,61 +259,49 @@ def verify_relations(prev: ThetaState, d: Diagram, i: int) -> RelationReport:
     pivot = prev.images[d.steps[i - 1].xi]
     one = LocalizedElement(Polynomial.constant(1), {})
     zero = LocalizedElement(Polynomial.zero(), {})
-    checked = 0
-
-    def fail(message: str) -> RelationReport:
-        return RelationReport(i, checked, False, message)
-
     survivors = b_set(d, i)
-    for idx, alpha in enumerate(survivors):
-        for beta in survivors[idx + 1 :]:
-            lhs = loc_poisson_bracket(state.images[alpha], state.images[beta], ideal, z_table)
-            term = bracket(alpha, beta, ideal)
-            if term.pair is None:
-                rhs = zero
-            elif term.pair in state.images:
-                rhs = loc_scale(state.images[term.pair], term.coefficient)
-            else:
-                raise InconsistentStateError(
-                    f"bracket of {tuple(alpha)},{tuple(beta)} left the surviving set"
-                )
-            checked += 1
-            if not loc_equal(lhs, rhs, z_table):
-                return fail(
-                    f"images of {tuple(alpha)}, {tuple(beta)} have the wrong bracket"
-                )
     middles = sorted(pairs.p)
-    for a in middles:
-        for b in middles:
-            expected = one if a == b else zero
-            checked += 1
-            if not loc_equal(
-                loc_poisson_bracket(pairs.p[a], pairs.q[b], ideal, z_table), expected, z_table
-            ):
-                return fail(f"{{p_{a}, q_{b}}} is not {'1' if a == b else '0'}")
-        for b in middles:
-            if b <= a:
-                continue
-            checked += 2
-            if not loc_equal(loc_poisson_bracket(pairs.p[a], pairs.p[b], ideal, z_table), zero, z_table):
-                return fail(f"{{p_{a}, p_{b}}} is not 0")
-            if not loc_equal(loc_poisson_bracket(pairs.q[a], pairs.q[b], ideal, z_table), zero, z_table):
-                return fail(f"{{q_{a}, q_{b}}} is not 0")
-    for j in middles:
-        checked += 2
-        if not loc_equal(loc_poisson_bracket(pivot, pairs.p[j], ideal, z_table), zero, z_table):
-            return fail(f"Z does not commute with p_{j}")
-        if not loc_equal(loc_poisson_bracket(pivot, pairs.q[j], ideal, z_table), zero, z_table):
-            return fail(f"Z does not commute with q_{j}")
-    for eta in survivors:
-        image = state.images[eta]
-        checked += 1
-        if not loc_equal(loc_poisson_bracket(image, pivot, ideal, z_table), zero, z_table):
-            return fail(f"image of {tuple(eta)} does not commute with Z")
+
+    def identities():
+        """(x, y, expected {x, y}, message on failure), in report order."""
+        for idx, alpha in enumerate(survivors):
+            for beta in survivors[idx + 1 :]:
+                term = bracket(alpha, beta, ideal)
+                if term.pair is None:
+                    rhs = zero
+                elif term.pair in state.images:
+                    rhs = loc_scale(state.images[term.pair], term.coefficient)
+                else:
+                    raise InconsistentStateError(
+                        f"bracket of {tuple(alpha)},{tuple(beta)} left the surviving set"
+                    )
+                yield (
+                    state.images[alpha],
+                    state.images[beta],
+                    rhs,
+                    f"images of {tuple(alpha)}, {tuple(beta)} have the wrong bracket",
+                )
+        for a in middles:
+            for b in middles:
+                expected, shown = (one, "1") if a == b else (zero, "0")
+                yield pairs.p[a], pairs.q[b], expected, f"{{p_{a}, q_{b}}} is not {shown}"
+            for b in middles:
+                if b > a:
+                    yield pairs.p[a], pairs.p[b], zero, f"{{p_{a}, p_{b}}} is not 0"
+                    yield pairs.q[a], pairs.q[b], zero, f"{{q_{a}, q_{b}}} is not 0"
         for j in middles:
-            checked += 2
-            if not loc_equal(loc_poisson_bracket(image, pairs.p[j], ideal, z_table), zero, z_table):
-                return fail(f"image of {tuple(eta)} does not commute with p_{j}")
-            if not loc_equal(loc_poisson_bracket(image, pairs.q[j], ideal, z_table), zero, z_table):
-                return fail(f"image of {tuple(eta)} does not commute with q_{j}")
+            yield pivot, pairs.p[j], zero, f"Z does not commute with p_{j}"
+            yield pivot, pairs.q[j], zero, f"Z does not commute with q_{j}"
+        for eta in survivors:
+            image = state.images[eta]
+            yield image, pivot, zero, f"image of {tuple(eta)} does not commute with Z"
+            for j in middles:
+                yield image, pairs.p[j], zero, f"image of {tuple(eta)} does not commute with p_{j}"
+                yield image, pairs.q[j], zero, f"image of {tuple(eta)} does not commute with q_{j}"
+
+    checked = 0
+    for x, y, expected, message in identities():
+        checked += 1
+        if not loc_equal(loc_poisson_bracket(x, y, ideal, z_table), expected, z_table):
+            return RelationReport(i, checked, False, message)
     return RelationReport(i, checked, True, None)

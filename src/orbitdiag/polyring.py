@@ -30,7 +30,6 @@ __all__ = [
     "MissingCoordinateError",
     "PolynomialSyntaxError",
     "monomial_mul",
-    "monomial_divide",
     "monomial_degree",
     "term_sort_key",
     "poisson_bracket",
@@ -83,20 +82,6 @@ def monomial_mul(u: Monomial, v: Monomial) -> Monomial:
     return tuple(sorted(merged.items()))
 
 
-def monomial_divide(u: Monomial, v: Monomial) -> Monomial | None:
-    """u / v as a monomial, or None when some exponent would go negative."""
-    left = dict(u)
-    for pair, e in v:
-        have = left.get(pair, 0) - e
-        if have < 0:
-            return None
-        if have:
-            left[pair] = have
-        else:
-            left.pop(pair, None)
-    return tuple(sorted(left.items()))
-
-
 def monomial_degree(u: Monomial) -> int:
     return sum(e for _, e in u)
 
@@ -114,7 +99,13 @@ class Polynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+        # every ring operation ends here, so a whole Fraction it produces
+        # (y*1/2 + y*1/2) is stored as the int the parser would give
+        self.terms = {
+            m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for m, c in (terms or {}).items()
+            if c
+        }
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -211,30 +202,32 @@ def partial_derivative(p: Polynomial, v) -> Polynomial:
     v = Pair(*v)
     total: dict = {}
     for m, c in p.terms.items():
-        for pair, e in m:
+        for i, (pair, e) in enumerate(m):
             if pair == v:
-                lowered = monomial_divide(m, ((pair, 1),))
-                total[lowered] = total.get(lowered, 0) + c * e
+                lowered = ((pair, e - 1),) if e > 1 else ()
+                # lowering one exponent is injective, so no two terms collide
+                total[m[:i] + lowered + m[i + 1 :]] = c * e
+                break
     return Polynomial(total)
 
 
 def poisson_bracket(a: Polynomial, b: Polynomial, ideal: PatternIdeal) -> Polynomial:
-    """Biderivation extension of the basis bracket; images in the ideal vanish."""
+    """{a, b} = sum of [y_alpha, y_beta] * da/dy_alpha * db/dy_beta over the
+    variables of a and b; brackets landing in the ideal vanish.  One partial
+    of a is held at a time, so the gradient of a large a is never stored."""
+    b_vars = b.variables()
     total: dict = {}
-    for mu, cu in a.terms.items():
-        for mv, cv in b.terms.items():
-            for alpha, ea in mu:
-                for beta, eb in mv:
-                    term = bracket(alpha, beta, ideal)
-                    if term.pair is None:
-                        continue
-                    rest_u = monomial_divide(mu, ((alpha, 1),))
-                    rest_v = monomial_divide(mv, ((beta, 1),))
-                    m = monomial_mul(
-                        monomial_mul(rest_u, rest_v), ((term.pair, 1),)
-                    )
-                    coeff = cu * cv * ea * eb * term.coefficient
-                    total[m] = total.get(m, 0) + coeff
+    for alpha in a.variables():
+        da = None
+        for beta in b_vars:
+            term = bracket(alpha, beta, ideal)
+            if term.pair is None:
+                continue
+            if da is None:
+                da = partial_derivative(a, alpha)
+            gamma = Polynomial({((term.pair, 1),): term.coefficient})
+            for m, c in (da * (gamma * partial_derivative(b, beta))).terms.items():
+                total[m] = total.get(m, 0) + c
     return Polynomial(total)
 
 
@@ -308,7 +301,9 @@ def _tokenize(text: str):
             pair = Pair(int(match.group("row")), int(match.group("col")))
             tokens.append(("var", pair, match.start("var")))
         elif match.group("num"):
-            tokens.append(("num", _exact(match.group("num")), match.start("num")))
+            literal = match.group("num")
+            value = _exact(literal) if "/" in literal else int(literal)
+            tokens.append(("num", value, match.start("num")))
         else:
             tokens.append(("op", match.group("op"), match.start("op")))
         pos = match.end()
@@ -366,7 +361,7 @@ def parse_polynomial(text: str) -> Polynomial:
             raise PolynomialSyntaxError("incomplete term", where)
         m = monomial_from(exponents)
         total[m] = total.get(m, 0) + coeff
-    return Polynomial({m: _exact(c) for m, c in total.items()})
+    return Polynomial(total)
 
 
 # --- localized elements ----------------------------------------------------

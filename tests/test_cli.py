@@ -260,6 +260,24 @@ def test_orbit_dim_rejects_bad_form_keys(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[1, 2]", "JSON object"),
+        ('{"2,1": "1/0"}', "'2,1'"),
+        ('{"2,1": 1, "2,1 ": 2}', "'2,1 '"),
+        ('{"2,1": 1, "2,1": 2}', "'2,1'"),
+    ],
+)
+def test_orbit_dim_rejects_bad_form_files(capsys, tmp_path, text, named):
+    path = tmp_path / "form.json"
+    path.write_text(text)
+    assert dispatch(["orbit-dim", "--ideal", "3:", "--form", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
 def test_stdin_ideal(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("4: 4,1"))
     assert dispatch(["index", "--ideal", "-"]) == 0

@@ -19,6 +19,7 @@ from orbitdiag.diagram import b_set, build_diagram
 from orbitdiag.invariants import (
     InconsistentStateError,
     NotTriangularError,
+    RelationReport,
     ThetaState,
     build_invariants,
     initial_state,
@@ -28,7 +29,13 @@ from orbitdiag.invariants import (
     verify_relations,
     weyl_pairs,
 )
-from orbitdiag.polyring import Polynomial, canonical_string, evaluate, parse_polynomial
+from orbitdiag.polyring import (
+    LocalizedElement,
+    Polynomial,
+    canonical_string,
+    evaluate,
+    parse_polynomial,
+)
 
 EXAMPLE7 = validate_pattern_ideal(7, [(5, 1), (6, 1), (7, 1), (7, 2)])
 
@@ -312,6 +319,18 @@ def test_relations_hold_for_the_example():
         assert report.counterexample is None
         counts.append(report.checked)
     assert counts == [136, 66, 21, 6, 0]
+
+
+def test_relations_report_the_first_failing_identity():
+    # ut(4), step 1 with y[2,1] added to y[3,2] beforehand.  The Weyl pairs
+    # and Z are untouched (checks 1-10 pass); the image of (3,2) becomes
+    # y32 + y21 - y31*y42/y41, which commutes with Z (check 11) but not with
+    # p_2 = y42: {y21, y42} = -y41.  The count runs through that check.
+    d = build_diagram(validate_pattern_ideal(4, []))
+    images = dict(initial_state(d).images)
+    images[Pair(3, 2)] = LocalizedElement(y(3, 2) + y(2, 1), {})
+    report = verify_relations(ThetaState(0, images, ()), d, 1)
+    assert report == RelationReport(1, 12, False, "image of (3, 2) does not commute with p_2")
 
 
 def test_relations_hold_exhaustively_up_to_n4():

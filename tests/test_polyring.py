@@ -12,6 +12,8 @@ from orbitdiag.core import (
     LinearForm,
     Pair,
     QuotientAlgebra,
+    bracket,
+    enumerate_pattern_ideals,
     random_form,
     validate_pattern_ideal,
 )
@@ -69,6 +71,16 @@ def test_basic_arithmetic():
     assert Fraction(1, 2) * (2 * y(3, 1)) == y(3, 1)
     assert y(2, 1) - y(2, 1) == Polynomial.zero()
     assert not (y(2, 1) - y(2, 1))
+
+
+def test_ring_operations_store_integral_results_as_int():
+    # a sum or product of Fractions that comes out whole is stored as the
+    # int the parser would give, not as Fraction(k, 1)
+    half = Fraction(1, 2)
+    whole = (half * (2 * y(2, 1)), half * y(2, 1) + half * y(2, 1), half * y(2, 1) * (2 * y(3, 1)))
+    for p in whole:
+        assert all(type(c) is int for c in p.terms.values())
+    assert (half * y(2, 1) + y(2, 1)).terms == {((Pair(2, 1), 1),): Fraction(3, 2)}
 
 
 def test_degrees():
@@ -133,6 +145,51 @@ def test_bracket_jacobi(a, b, c):
         + poisson_bracket(c, poisson_bracket(a, b, UT4), UT4)
     )
     assert total == Polynomial.zero()
+
+
+def reference_bracket(a, b, ideal):
+    """The Leibniz rule term by term: every term pair, every variable pair."""
+    total = Polynomial.zero()
+    for mu, cu in a.terms.items():
+        for mv, cv in b.terms.items():
+            for alpha, ea in mu:
+                for beta, eb in mv:
+                    term = bracket(alpha, beta, ideal)
+                    if term.pair is None:
+                        continue
+                    piece = Polynomial.constant(cu * cv * ea * eb * term.coefficient)
+                    piece = piece * Polynomial.variable(term.pair)
+                    for pair, e in mu:
+                        piece = piece * Polynomial.variable(pair) ** (e - (pair == alpha))
+                    for pair, e in mv:
+                        piece = piece * Polynomial.variable(pair) ** (e - (pair == beta))
+                    total = total + piece
+    return total
+
+
+IDEALS_UP_TO_5 = [ideal for n in range(2, 6) for ideal in enumerate_pattern_ideals(n)]
+
+
+@st.composite
+def quotient_polynomials(draw, variables):
+    total = Polynomial.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        term = Polynomial.constant(Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))))
+        if variables:
+            monomial = st.dictionaries(st.sampled_from(variables), st.integers(1, 3), max_size=3)
+            for pair, exp in draw(monomial).items():
+                term = term * Polynomial.variable(pair) ** exp
+        total = total + term
+    return total
+
+
+@given(st.data())
+def test_bracket_matches_term_by_term_reference(data):
+    ideal = data.draw(st.sampled_from(IDEALS_UP_TO_5))
+    variables = list(QuotientAlgebra.from_ideal(ideal).basis)
+    a = data.draw(quotient_polynomials(variables))
+    b = data.draw(quotient_polynomials(variables))
+    assert poisson_bracket(a, b, ideal) == reference_bracket(a, b, ideal)
 
 
 # --- evaluation ------------------------------------------------------------------
