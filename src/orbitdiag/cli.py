@@ -25,8 +25,6 @@ from . import oracle as oracle_mod
 from .core import (
     ConsistencyError,
     LinearForm,
-    NotAnIdealError,
-    OutOfRangeError,
     Pair,
     PatternIdeal,
     QuotientAlgebra,
@@ -431,22 +429,10 @@ def dispatch(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
-    except (
-        ConsistencyError,
-        invariants_mod.CentralityError,
-        invariants_mod.NotTriangularError,
-        invariants_mod.InconsistentStateError,
-    ) as exc:
+    except ConsistencyError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (
-        IdealSyntaxError,
-        NotAnIdealError,
-        OutOfRangeError,
-        MissingCoordinateError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (MissingCoordinateError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

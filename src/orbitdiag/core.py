@@ -74,7 +74,8 @@ class DimensionMismatchError(ValueError):
 
 
 class ConsistencyError(RuntimeError):
-    """A guaranteed fact failed on an object built without validation, or a bug.
+    """A guaranteed fact failed on an object built without validation, or a bug;
+    the base of every failed check, which the command line exits 1 on.
     Not a ValueError: the command line reports those as bad input."""
 
 
@@ -215,11 +216,6 @@ class LinearForm:
             if value:
                 cleaned[pair] = value
         return cls(algebra, tuple(sorted(cleaned.items())))
-
-    def __call__(self, pair: Pair) -> int | Fraction:
-        if pair not in set(self.algebra.basis):
-            raise OutOfRangeError(pair, self.algebra.n)
-        return dict(self.values).get(pair, 0)
 
     def as_dict(self) -> dict[Pair, int | Fraction]:
         return dict(self.values)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Pair, PatternIdeal, all_pairs, bracket, order_gt, succ_key
+from .core import ConsistencyError, Pair, PatternIdeal, all_pairs, bracket, order_gt, succ_key
 from .diagram import Diagram, b_set, classify_step
 from .polyring import (
     LocalizedElement,
@@ -59,15 +59,15 @@ __all__ = [
 ]
 
 
-class InconsistentStateError(RuntimeError):
+class InconsistentStateError(ConsistencyError):
     pass
 
 
-class CentralityError(ValueError):
+class CentralityError(ConsistencyError):
     pass
 
 
-class NotTriangularError(ValueError):
+class NotTriangularError(ConsistencyError):
     """The staircase-shape check failed; carries which check and a witness."""
 
     def __init__(self, reason: str, witness):

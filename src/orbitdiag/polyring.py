@@ -17,6 +17,7 @@ Fractions, so integer input stays integer.  On top of the plain ring sit:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 import re
@@ -67,19 +68,19 @@ class PolynomialSyntaxError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
-def monomial_from(exponents: dict) -> Monomial:
-    return tuple(sorted((Pair(*p), e) for p, e in exponents.items() if e))
-
-
 def monomial_mul(u: Monomial, v: Monomial) -> Monomial:
-    if not u:
-        return v
-    if not v:
-        return u
-    merged = dict(u)
+    """Each entry of the shorter monomial inserted into the sorted longer
+    one, exponents added on a shared position; the longer one's other
+    entries are kept, not rebuilt."""
+    if len(u) < len(v):
+        u, v = v, u
     for pair, e in v:
-        merged[pair] = merged.get(pair, 0) + e
-    return tuple(sorted(merged.items()))
+        i = bisect_left(u, (pair,))
+        if i < len(u) and u[i][0] == pair:
+            u = u[:i] + ((pair, u[i][1] + e),) + u[i + 1 :]
+        else:
+            u = u[:i] + ((pair, e),) + u[i:]
+    return u
 
 
 def monomial_degree(u: Monomial) -> int:
@@ -278,90 +279,82 @@ def canonical_string(p: Polynomial) -> str:
     return "".join(pieces)
 
 
+# the empty `stray` alternative comes last: it matches only where no token
+# or the end of the text does, i.e. at a character no token starts with
 _TOKEN = re.compile(
     r"\s*(?:(?P<var>y\[\s*(?P<row>\d+)\s*,\s*(?P<col>\d+)\s*\])"
-    r"|(?P<num>\d+(?:/\d+)?)"
-    r"|(?P<op>[+\-*^]))"
+    r"|(?P<num>\d+(?:/\d+)?)|(?P<op>[+\-*^])|(?P<end>\Z)|(?P<stray>))"
 )
 
 
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
+def _tokens(text: str):
+    """Yield (kind, value, position) per token of text, up to and including
+    ("end", "", len(text)); an operator is its own kind and value."""
+    pos, kind = 0, None
+    while kind != "end":
         match = _TOKEN.match(text, pos)
-        if match is None:
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            raise PolynomialSyntaxError(
-                "unexpected character", pos + len(rest) - len(rest.lstrip())
-            )
-        if match.group("var"):
-            pair = Pair(int(match.group("row")), int(match.group("col")))
-            tokens.append(("var", pair, match.start("var")))
-        elif match.group("num"):
-            literal = match.group("num")
-            value = _exact(literal) if "/" in literal else int(literal)
-            tokens.append(("num", value, match.start("num")))
-        else:
-            tokens.append(("op", match.group("op"), match.start("op")))
-        pos = match.end()
-    return tokens
+        kind = match.lastgroup
+        value, start, pos = match.group(kind), match.start(kind), match.end()
+        if kind == "stray":
+            raise PolynomialSyntaxError("unexpected character", start)
+        if kind == "op":
+            kind = value
+        elif kind == "var":
+            value = Pair(int(match.group("row")), int(match.group("col")))
+        elif kind == "num":
+            try:
+                value = _exact(value) if "/" in value else int(value)
+            except ZeroDivisionError:
+                raise PolynomialSyntaxError("zero denominator", start) from None
+        yield kind, value, start
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    """Inverse of canonical_string (tolerant about whitespace)."""
-    tokens = _tokenize(text)
-    if not tokens:
+    """Inverse of canonical_string (tolerant about whitespace), read in one
+    pass; of several errors the first in reading order is reported."""
+    tokens = _tokens(text)
+    kind, value, pos = next(tokens)
+    if kind == "end":
         raise PolynomialSyntaxError("empty input", 0)
+    if kind == "+":
+        raise PolynomialSyntaxError("unexpected leading '+'", pos)
     total: dict = {}
-    i = 0
-    first = True
-    while i < len(tokens):
+    while True:
         coeff = 1
-        kind, value, pos = tokens[i]
-        if kind == "op" and value in "+-":
-            if first and value == "+":
-                raise PolynomialSyntaxError("unexpected leading '+'", pos)
-            coeff = -1 if value == "-" else 1
-            i += 1
-        elif not first:
-            raise PolynomialSyntaxError("expected '+' or '-' between terms", pos)
-        first = False
+        if kind in ("+", "-"):
+            coeff = -1 if kind == "-" else 1
+            kind, value, pos = next(tokens)
         exponents: dict = {}
-        expect_factor = True
-        saw_factor = False
-        while i < len(tokens):
-            kind, value, pos = tokens[i]
-            if not expect_factor:
-                break
+        while True:
             if kind == "num":
                 coeff *= value
+                kind, value, pos = next(tokens)
             elif kind == "var":
-                e = 1
-                if i + 2 < len(tokens) and tokens[i + 1][:2] == ("op", "^"):
-                    if tokens[i + 2][0] != "num" or tokens[i + 2][1].denominator != 1:
-                        raise PolynomialSyntaxError("exponent must be an integer", tokens[i + 2][2])
-                    e = int(tokens[i + 2][1])
-                    i += 2
-                elif i + 1 < len(tokens) and tokens[i + 1][:2] == ("op", "^"):
-                    raise PolynomialSyntaxError("dangling '^'", tokens[i + 1][2])
-                exponents[value] = exponents.get(value, 0) + e
+                pair, e = value, 1
+                kind, value, pos = next(tokens)
+                if kind == "^":
+                    caret = pos
+                    kind, value, pos = next(tokens)
+                    if kind == "end":
+                        raise PolynomialSyntaxError("dangling '^'", caret)
+                    if kind != "num" or type(value) is not int:
+                        raise PolynomialSyntaxError("exponent must be an integer", pos)
+                    e = value
+                    kind, value, pos = next(tokens)
+                exponents[pair] = exponents.get(pair, 0) + e
+            elif kind == "end":
+                raise PolynomialSyntaxError("incomplete term", pos)
             else:
                 raise PolynomialSyntaxError(f"unexpected '{value}'", pos)
-            saw_factor = True
-            i += 1
-            expect_factor = False
-            if i < len(tokens) and tokens[i][:2] == ("op", "*"):
-                i += 1
-                expect_factor = True
-        if expect_factor or not saw_factor:
-            where = tokens[i][2] if i < len(tokens) else len(text)
-            raise PolynomialSyntaxError("incomplete term", where)
-        m = monomial_from(exponents)
-        total[m] = total.get(m, 0) + coeff
-    return Polynomial(total)
+            if kind != "*":
+                break
+            kind, value, pos = next(tokens)
+        monomial = tuple(sorted(item for item in exponents.items() if item[1]))
+        total[monomial] = total.get(monomial, 0) + coeff
+        if kind == "end":
+            return Polynomial(total)
+        if kind not in ("+", "-"):
+            raise PolynomialSyntaxError("expected '+' or '-' between terms", pos)
 
 
 # --- localized elements ----------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from orbitdiag.core import (
+    ConsistencyError,
     LinearForm,
     Pair,
     QuotientAlgebra,
@@ -17,6 +18,7 @@ from orbitdiag.core import (
 )
 from orbitdiag.diagram import b_set, build_diagram
 from orbitdiag.invariants import (
+    CentralityError,
     InconsistentStateError,
     NotTriangularError,
     RelationReport,
@@ -157,6 +159,13 @@ def test_theta_step_validates_its_input():
     broken = ThetaState(step=1, images={}, z_list=(y(4, 1),))
     with pytest.raises(InconsistentStateError):
         theta_step(broken, d, 2)
+
+
+@pytest.mark.parametrize("error", [InconsistentStateError, CentralityError, NotTriangularError])
+def test_failed_checks_are_consistency_errors(error):
+    # the command line exits 1 on a ConsistencyError and 2 on a ValueError
+    assert issubclass(error, ConsistencyError)
+    assert not issubclass(error, ValueError)
 
 
 # --- small algebras -----------------------------------------------------------------

@@ -285,12 +285,27 @@ def test_parse_round_trip(p):
         ("y[2,1]^y[3,1]", 7),
         ("y[2,1] @", 7),
         ("y[2,1] +", 8),
+        ("1/0*y[2,1]", 0),
     ],
 )
 def test_parse_errors_carry_positions(text, position):
     with pytest.raises(PolynomialSyntaxError) as info:
         parse_polynomial(text)
     assert info.value.position == position
+
+
+# the token alphabet of the text form, plus one stray character and a zero denominator
+PARSER_ALPHABET = ["y[2,1]", "y[3,1]", "y[4,2]", *"0123456789", "/", "+", "-", "*", "^", " ", "@", "1/0"]
+
+
+@given(st.lists(st.sampled_from(PARSER_ALPHABET), max_size=12).map("".join))
+def test_parse_round_trips_or_reports_a_position(text):
+    try:
+        p = parse_polynomial(text)
+    except PolynomialSyntaxError as error:
+        assert 0 <= error.position <= len(text)
+    else:
+        assert parse_polynomial(canonical_string(p)) == p
 
 
 # --- localized elements -------------------------------------------------------------
