@@ -283,13 +283,14 @@ def canonical_string(p: Polynomial) -> str:
 # or the end of the text does, i.e. at a character no token starts with
 _TOKEN = re.compile(
     r"\s*(?:(?P<var>y\[\s*(?P<row>\d+)\s*,\s*(?P<col>\d+)\s*\])"
-    r"|(?P<num>\d+(?:/\d+)?)|(?P<op>[+\-*^])|(?P<end>\Z)|(?P<stray>))"
+    r"|(?P<ratio>\d+/\d+)|(?P<num>\d+)|(?P<op>[+\-*^])|(?P<end>\Z)|(?P<stray>))"
 )
 
 
 def _tokens(text: str):
     """Yield (kind, value, position) per token of text, up to and including
-    ("end", "", len(text)); an operator is its own kind and value."""
+    ("end", "", len(text)); an operator is its own kind and value, "num" is
+    an integer literal and "ratio" a literal a/b."""
     pos, kind = 0, None
     while kind != "end":
         match = _TOKEN.match(text, pos)
@@ -301,9 +302,15 @@ def _tokens(text: str):
             kind = value
         elif kind == "var":
             value = Pair(int(match.group("row")), int(match.group("col")))
+            if not value.row > value.col >= 1:
+                raise PolynomialSyntaxError(
+                    f"y[{value.row},{value.col}] is not strictly lower-triangular", start
+                )
         elif kind == "num":
+            value = int(value)
+        elif kind == "ratio":
             try:
-                value = _exact(value) if "/" in value else int(value)
+                value = _exact(value)
             except ZeroDivisionError:
                 raise PolynomialSyntaxError("zero denominator", start) from None
         yield kind, value, start
@@ -326,7 +333,7 @@ def parse_polynomial(text: str) -> Polynomial:
             kind, value, pos = next(tokens)
         exponents: dict = {}
         while True:
-            if kind == "num":
+            if kind in ("num", "ratio"):
                 coeff *= value
                 kind, value, pos = next(tokens)
             elif kind == "var":
@@ -337,7 +344,7 @@ def parse_polynomial(text: str) -> Polynomial:
                     kind, value, pos = next(tokens)
                     if kind == "end":
                         raise PolynomialSyntaxError("dangling '^'", caret)
-                    if kind != "num" or type(value) is not int:
+                    if kind != "num":
                         raise PolynomialSyntaxError("exponent must be an integer", pos)
                     e = value
                     kind, value, pos = next(tokens)

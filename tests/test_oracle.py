@@ -1,6 +1,7 @@
 """Brute-force oracles: skew-form ranks, Jacobians, invariance under the action."""
 
 import logging
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from orbitdiag.core import (
     Pair,
     QuotientAlgebra,
     counter_rand,
+    enumerate_pattern_ideals,
     random_form,
     validate_pattern_ideal,
 )
@@ -19,6 +21,10 @@ from orbitdiag.diagram import build_diagram, max_orbit_dim
 from orbitdiag.invariants import build_invariants
 from orbitdiag.oracle import (
     SkewMatrix,
+    _P,
+    _gradient,
+    _modular_rank,
+    _reduce,
     exact_rank,
     generic_jacobian_rank,
     index_oracle,
@@ -26,7 +32,7 @@ from orbitdiag.oracle import (
     jacobian_rank,
     skew_form_matrix,
 )
-from orbitdiag.polyring import Polynomial
+from orbitdiag.polyring import MissingCoordinateError, Polynomial, evaluate, partial_derivative
 
 UT3 = validate_pattern_ideal(3, [])
 UT4 = validate_pattern_ideal(4, [])
@@ -124,6 +130,86 @@ def test_skew_rank_is_even():
         for trial in range(5):
             f = random_form(algebra, 20, counter_rand(seed, trial))
             assert exact_rank(skew_form_matrix(f, ideal)) % 2 == 0
+
+
+# --- rank mod p -----------------------------------------------------------------------
+
+
+def test_modular_rank_equals_exact_rank_on_every_small_ideal():
+    for n in range(1, 8):
+        for position, ideal in enumerate(enumerate_pattern_ideals(n)):
+            f = random_form(QuotientAlgebra.from_ideal(ideal), 1000, counter_rand(n, position))
+            rows = skew_form_matrix(f, ideal).entries
+            assert _modular_rank(rows) == exact_rank(rows), ideal
+
+
+@pytest.mark.parametrize("n", [10, 12, 16])
+def test_modular_rank_equals_exact_rank_on_the_full_algebra(n):
+    ideal = validate_pattern_ideal(n, [])
+    f = random_form(QuotientAlgebra.from_ideal(ideal), 1000, n)
+    rows = skew_form_matrix(f, ideal).entries
+    assert _modular_rank(rows) == exact_rank(rows) == len(rows) - n // 2
+
+
+@given(st.data())
+def test_modular_rank_equals_exact_rank_on_rational_rows(data):
+    height = data.draw(st.integers(1, 5))
+    width = data.draw(st.integers(1, 5))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    rows = [[data.draw(entry) for _ in range(width)] for _ in range(height)]
+    assert _modular_rank(rows) == exact_rank(rows)
+
+
+def test_a_denominator_divisible_by_p_is_refused():
+    with pytest.raises(ValueError):
+        _modular_rank([[Fraction(1, _P)]])
+
+
+IDEALS_UP_TO_5 = [ideal for n in range(2, 6) for ideal in enumerate_pattern_ideals(n)]
+
+
+@st.composite
+def gradient_cases(draw):
+    ideal = draw(st.sampled_from(IDEALS_UP_TO_5))
+    algebra = QuotientAlgebra.from_ideal(ideal)
+    variables = list(algebra.basis)
+    z = Polynomial.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        term = Polynomial.constant(Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4))))
+        if variables:
+            exponents = st.dictionaries(st.sampled_from(variables), st.integers(1, 4), max_size=4)
+            for pair, e in draw(exponents).items():
+                term = term * Polynomial.variable(pair) ** e
+        z = z + term
+    value = st.one_of(st.just(0), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
+    f = LinearForm.from_dict(algebra, {pair: draw(value) for pair in variables})
+    return z, f
+
+
+@given(gradient_cases())
+def test_gradient_walk_matches_the_partial_derivatives(case):
+    z, f = case
+    basis = f.algebra.basis
+    values = {pair: _reduce(v) for pair, v in f.values}
+    columns = {pair: i for i, pair in enumerate(basis)}
+    expected = [_reduce(evaluate(partial_derivative(z, eta), f)) for eta in basis]
+    assert _gradient(z, values, columns) == expected
+
+
+def test_jacobian_rank_refuses_a_variable_outside_the_quotient():
+    ideal = validate_pattern_ideal(3, [(3, 1)])
+    f = form(ideal, {(2, 1): 1, (3, 2): 1})
+    with pytest.raises(MissingCoordinateError):
+        jacobian_rank([y(2, 1) * y(3, 1)], f)
+
+
+def test_index_of_the_full_algebra_past_the_enumeration_limit():
+    # the closed form index(ut(n)) = floor(n/2), past the n <= 8 sweep and in bounded time
+    start = time.perf_counter()
+    for n in (10, 12, 16, 20):
+        dim = n * (n - 1) // 2
+        assert index_oracle(validate_pattern_ideal(n, []), 1, 1000, n) == (n // 2, dim - n // 2)
+    assert time.perf_counter() - start < 3
 
 
 # --- the index oracle ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact sparse polynomials, the Poisson bracket, and localized elements."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -290,6 +291,21 @@ def test_parse_round_trip(p):
 )
 def test_parse_errors_carry_positions(text, position):
     with pytest.raises(PolynomialSyntaxError) as info:
+        parse_polynomial(text)
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text, position, message",
+    [
+        ("y[2,1] + y[1,5]", 9, "y[1,5] is not strictly lower-triangular"),
+        ("y[0,0]^3", 0, "y[0,0] is not strictly lower-triangular"),
+        ("3*y[2,0]", 2, "y[2,0] is not strictly lower-triangular"),
+        ("y[2,1]^4/2", 7, "exponent must be an integer"),
+    ],
+)
+def test_parse_rejects_what_the_text_form_never_writes(text, position, message):
+    with pytest.raises(PolynomialSyntaxError, match=re.escape(message)) as info:
         parse_polynomial(text)
     assert info.value.position == position
 
