@@ -377,6 +377,8 @@ def _run(args) -> int:
     ideal = parse_ideal_spec(_ideal_text(args.ideal)).to_ideal()
     d = build_diagram(ideal)
     if args.command == "diagram":
+        if args.oracle and not args.as_json:
+            raise ValueError("--oracle only adds a report to the JSON; add --json")
         if args.as_json:
             strings = [
                 canonical_string(z)

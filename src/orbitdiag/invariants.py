@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ConsistencyError, Pair, PatternIdeal, all_pairs, bracket, order_gt, succ_key
+from .core import ConsistencyError, Pair, PatternIdeal, bracket, order_gt, succ_key
 from .diagram import Diagram, b_set, classify_step
 from .polyring import (
     LocalizedElement,
@@ -188,11 +188,12 @@ def triangular_decompose(
     """Split z as y_xi * Q + P and certify the staircase shape.
 
     Checks, in order: z has degree exactly 1 in y_xi; Q = dz/dy_xi is a
-    product of powers of the earlier z's; and P = z - y_xi*Q only involves
-    variables strictly greater than xi.  Newest first, e_j is Q's degree
-    in the least variable of z_j (its pivot, absent from older z's) less
-    what the newer factors give; one product comparison then certifies Q
-    for any `earlier`.  Returns the exponent map of Q and the remainder P.
+    product of powers of the earlier z's; and P = z - y_xi*Q, the terms of
+    z without y_xi, only involves variables strictly greater than xi.
+    Newest first, e_j is Q's degree in the least variable of z_j (its
+    pivot, absent from older z's) less what the newer factors give; one
+    product comparison then certifies Q for any `earlier`.  Returns the
+    exponent map of Q and the remainder P.
     """
     xi = Pair(*xi)
     if z.degree_in(xi) != 1:
@@ -210,7 +211,7 @@ def triangular_decompose(
             product = product * earlier[j - 1] ** e
     if product != q:
         raise NotTriangularError("pivot coefficient is not a product of earlier invariants", q)
-    remainder = z - Polynomial.variable(xi) * q
+    remainder = Polynomial({m: c for m, c in z.terms.items() if all(p != xi for p, _ in m)})
     for v in sorted(remainder.variables()):
         if not order_gt(v, xi):
             raise NotTriangularError("remainder touches a variable not above the pivot", tuple(v))
@@ -218,11 +219,16 @@ def triangular_decompose(
 
 
 def verify_centrality(z: Polynomial, ideal: PatternIdeal) -> bool:
-    """Does z Poisson-commute with every coordinate of the quotient?"""
+    """Does z Poisson-commute with every coordinate of the quotient?
+
+    {z, .} is a derivation, so by Jacobi it kills [x, y] once it kills x and y.
+    Each y[i,j] outside M is [y[i,j+1], y[j+1,j]], both factors outside M by
+    lower-left closure, so the generators y[i+1,i] outside M suffice.
+    """
     return all(
-        poisson_bracket(z, Polynomial.variable(eta), ideal).is_zero()
-        for eta in all_pairs(ideal.n)
-        if eta not in ideal.members
+        poisson_bracket(z, Polynomial.variable(Pair(i + 1, i)), ideal).is_zero()
+        for i in range(1, ideal.n)
+        if Pair(i + 1, i) not in ideal.members
     )
 
 

@@ -24,6 +24,7 @@ from fractions import Fraction
 from math import lcm
 
 from .core import (
+    DimensionMismatchError,
     LinearForm,
     PatternIdeal,
     QuotientAlgebra,
@@ -48,6 +49,7 @@ __all__ = [
 log = logging.getLogger("orbitdiag.oracle")
 
 _P = (1 << 61) - 1
+_RETRIES = 5
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,8 @@ class SkewMatrix:
 
 
 def skew_form_matrix(f: LinearForm, ideal: PatternIdeal) -> SkewMatrix:
+    if f.algebra.ideal != ideal:
+        raise DimensionMismatchError("form and ideal must belong to the same quotient")
     basis = f.algebra.basis
     values = f.as_dict()
     rows = []
@@ -228,23 +232,19 @@ def jacobian_rank(zs: list[Polynomial], f: LinearForm) -> int:
 
 
 def generic_jacobian_rank(
-    zs: list[Polynomial],
-    ideal: PatternIdeal,
-    seed: int,
-    bound: int = 1000,
-    retries: int = 5,
+    zs: list[Polynomial], ideal: PatternIdeal, seed: int, bound: int = 1000
 ) -> int:
     """Jacobian rank at a random form, resampling on rank deficiency.
 
     A random point may accidentally hit the locus where the gradients
     degenerate; full rank anywhere certifies independence, so deficiency
-    triggers up to `retries` fresh points.  Every retry is logged — a run
+    triggers up to `_RETRIES` fresh points.  Every retry is logged — a run
     that exhausts them is evidence of genuine dependence, not bad luck.
     """
     algebra = QuotientAlgebra.from_ideal(ideal)
     target = len(zs)
     best = 0
-    for attempt in range(retries + 1):
+    for attempt in range(_RETRIES + 1):
         f = random_form(algebra, bound, counter_rand(seed, 0x1A, attempt))
         rank = jacobian_rank(zs, f)
         best = max(best, rank)
@@ -252,10 +252,7 @@ def generic_jacobian_rank(
             return best
         log.warning(
             "jacobian rank mod p %d < %d at attempt %d (seed %d); resampling",
-            rank,
-            target,
-            attempt,
-            seed,
+            rank, target, attempt, seed,
         )
     return best
 

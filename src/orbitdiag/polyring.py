@@ -30,9 +30,6 @@ __all__ = [
     "LocalizedElement",
     "MissingCoordinateError",
     "PolynomialSyntaxError",
-    "monomial_mul",
-    "monomial_degree",
-    "term_sort_key",
     "poisson_bracket",
     "partial_derivative",
     "evaluate",
@@ -132,9 +129,6 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.terms == Polynomial.constant(other).terms
         return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):

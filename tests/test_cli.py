@@ -226,6 +226,13 @@ def test_diagram_json_prints_the_golden(capsys):
     assert capsys.readouterr().out == (DATA / "n7_example_bundle.json").read_text()
 
 
+def test_diagram_oracle_needs_json(capsys):
+    assert dispatch(["diagram", "--ideal", EXAMPLE_SPEC, "--oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--json" in captured.err
+
+
 def test_diagram_json(capsys):
     assert dispatch(["diagram", "--ideal", EXAMPLE_SPEC, "--json", "--oracle",
                      "--trials", "3", "--seed", "1"]) == 0

@@ -2,14 +2,19 @@
 
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbitdiag import invariants as invariants_mod
 from orbitdiag.core import (
     ConsistencyError,
     LinearForm,
     Pair,
     QuotientAlgebra,
+    all_pairs,
     coadjoint_act,
     enumerate_pattern_ideals,
     random_form,
@@ -37,6 +42,7 @@ from orbitdiag.polyring import (
     canonical_string,
     evaluate,
     parse_polynomial,
+    poisson_bracket,
 )
 
 EXAMPLE7 = validate_pattern_ideal(7, [(5, 1), (6, 1), (7, 1), (7, 2)])
@@ -284,6 +290,78 @@ def test_centrality_rejects_noninvariants():
     assert verify_centrality(y(3, 1), ut3)
     assert not verify_centrality(y(2, 1), ut3)
     assert not verify_centrality(y(3, 2) + y(3, 1), ut3)
+    # [y21, y32] = y31 lies in this ideal, so y21 is central in its quotient
+    assert verify_centrality(y(2, 1), validate_pattern_ideal(3, [(3, 1)]))
+
+
+def test_centrality_brackets_once_per_generator_outside_the_ideal(monkeypatch):
+    seen = []
+
+    def recording_bracket(a, b, ideal):
+        seen.append(tuple(*b.variables()))
+        return poisson_bracket(a, b, ideal)
+
+    monkeypatch.setattr(invariants_mod, "poisson_bracket", recording_bracket)
+    assert verify_centrality(y(10, 1), validate_pattern_ideal(10, []))
+    assert seen == [(i + 1, i) for i in range(1, 10)]
+    seen.clear()
+    # (2,1) lies in this ideal, so only y[3,2] and y[4,3] are bracketed
+    assert verify_centrality(y(4, 2), validate_pattern_ideal(4, [(2, 1), (3, 1), (4, 1)]))
+    assert seen == [(3, 2), (4, 3)]
+
+
+def central_on_every_coordinate(z, ideal):
+    """The reference: bracket z with each coordinate of the quotient."""
+    return all(
+        poisson_bracket(z, Polynomial.variable(eta), ideal).is_zero()
+        for eta in all_pairs(ideal.n)
+        if eta not in ideal.members
+    )
+
+
+IDEALS_UP_TO_6 = [
+    ideal for n in range(2, 7) for ideal in enumerate_pattern_ideals(n) if ideal.dim_quotient
+]
+
+
+@lru_cache(maxsize=None)
+def invariants_of(ideal):
+    return build_invariants(build_diagram(ideal), check=False)
+
+
+def test_generator_centrality_agrees_on_single_coordinates():
+    # y[k,1] brackets nonzero with y[k+1,k] alone among the generators, so a
+    # skipped generator shows here
+    for ideal in IDEALS_UP_TO_6:
+        for eta in QuotientAlgebra.from_ideal(ideal).basis:
+            p = Polynomial.variable(eta)
+            assert verify_centrality(p, ideal) == central_on_every_coordinate(p, ideal)
+
+
+def test_generator_centrality_matches_every_coordinate():
+    verdicts = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        ideal = data.draw(st.sampled_from(IDEALS_UP_TO_6))
+        zs = invariants_of(ideal)
+        basis = QuotientAlgebra.from_ideal(ideal).basis
+        p = Polynomial.zero()
+        for _ in range(data.draw(st.integers(0, 3))):
+            c = data.draw(st.integers(-3, 3))
+            p = p + c * data.draw(st.sampled_from(zs)) ** data.draw(st.integers(0, 2))
+        for _ in range(data.draw(st.integers(0, 2))):
+            term = Polynomial.constant(data.draw(st.integers(1, 3)))
+            for _ in range(data.draw(st.integers(1, 3))):
+                term = term * Polynomial.variable(data.draw(st.sampled_from(basis)))
+            p = p + term
+        verdict = verify_centrality(p, ideal)
+        assert verdict == central_on_every_coordinate(p, ideal)
+        verdicts.add(verdict)
+
+    check()
+    assert verdicts == {True, False}
 
 
 # --- canonical commutation pairs --------------------------------------------------------
