@@ -12,8 +12,10 @@ minor reduced mod p is the reduction of the rational minor, so a minor that
 vanishes over Q vanishes mod p: the rank mod p is at most the rank over Q.
 The index oracle's max over trials keeps its one-sided meaning, and a full
 Jacobian rank mod p still certifies independence.  `exact_rank` stays
-exact (fraction-free Bareiss elimination) for callers that need the rank
-over Q of one given form.
+exact for callers that need the rank over Q of one given form: it
+eliminates on sparse primitive integer rows, touching only the rows that
+meet the pivot's column, and every entry it makes is bounded by a minor
+of the matrix with its denominators cleared.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .core import (
     DimensionMismatchError,
@@ -61,62 +63,109 @@ class SkewMatrix:
 
 
 def skew_form_matrix(f: LinearForm, ideal: PatternIdeal) -> SkewMatrix:
+    """The pairing table, from the brackets that can be nonzero.
+
+    [y_a, y_b] vanishes unless the two positions share an index: for
+    a = (i, j) the only partners are (j, l) with l < j and (k, i) with
+    k > i, so only those are bracketed and every other entry is 0.
+    """
     if f.algebra.ideal != ideal:
         raise DimensionMismatchError("form and ideal must belong to the same quotient")
     basis = f.algebra.basis
     values = f.as_dict()
+    columns = {pair: k for k, pair in enumerate(basis)}
     rows = []
     for a in basis:
-        row = []
-        for b in basis:
-            term = bracket(a, b, ideal)
-            row.append(term.coefficient * values.get(term.pair, 0))
+        row = [0] * len(basis)
+        partners = [(a.col, l) for l in range(1, a.col)]
+        partners += [(k, a.row) for k in range(a.row + 1, ideal.n + 1)]
+        for b in partners:
+            col = columns.get(b)
+            if col is not None:
+                term = bracket(a, basis[col], ideal)
+                value = values.get(term.pair, 0)
+                # a coefficient is +-1, and negating a Fraction is cheaper than a product
+                row[col] = -value if term.coefficient < 0 else value
         rows.append(tuple(row))
     return SkewMatrix(len(basis), tuple(rows))
 
 
-def _integer_rows(matrix) -> list[list[int]]:
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The row divided by its content, the gcd of its entries."""
+    content = gcd(*row.values())
+    if content == 1:
+        return row
+    return {c: x // content for c, x in row.items()}
+
+
+def _integer_rows(matrix) -> list[dict[int, int]]:
+    """The nonzero rows as primitive integer rows {column: entry}.
+
+    Denominators are cleared per row; rank is scale-invariant.
+    """
     rows = matrix.entries if isinstance(matrix, SkewMatrix) else matrix
     cleared = []
     for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        cleared.append([x.numerator * (scale // x.denominator) for x in row])
+        entries = {c: x for c, x in enumerate(row) if x}
+        if entries:
+            scale = lcm(*(x.denominator for x in entries.values()))
+            cleared.append(
+                _primitive({c: x.numerator * (scale // x.denominator) for c, x in entries.items()})
+            )
     return cleared
 
 
 def exact_rank(matrix) -> int:
-    """Rank over the rationals, by fraction-free elimination.
+    """Rank over the rationals, by fraction-free elimination on sparse rows.
 
     Accepts a SkewMatrix or any rectangular iterable of rational rows.
-    Denominators are cleared per row (rank is scale-invariant), then a
-    Bareiss-style sweep keeps every intermediate entry an exact integer:
-    the two-by-two cross update divided by the previous pivot is a minor
-    of the original matrix, so the division is always exact.
+    Each row is kept as {column: int}, its denominators cleared and its
+    content divided out.  The pivot row is the remaining row with the
+    fewest nonzeros, pivoting on any entry p of it in column c; each row
+    with an entry `lead` in column c becomes (p/g)·row - (lead/g)·pivot,
+    g = gcd(p, lead), divided by its content.  Rows without an entry in c
+    are not touched, which is the whole gain: a skew form of ut(n)/m has
+    at most n - 2 nonzeros per row.
+
+    Entry size.  Let M be the integer matrix the rows start as, P the rows
+    taken as pivots so far and C their pivot columns.  A reduced row r is
+    a combination of M's rows P ∪ {r} that vanishes on C, and as M[P, C]
+    is invertible those combinations form a line.  The vector of minors
+    v_c = det M[P ∪ {r}, C ∪ {c}] lies on it: expanding along the last
+    column writes v as a combination of those rows, and v_c = 0 for c in
+    C (a repeated column).  The reduced row is primitive, so it is
+    ±v / gcd(v), and each entry is at most a minor of M in absolute
+    value: Hadamard's bound, as for Bareiss elimination.  Without the
+    content division a row is only some multiple of v, with no bound.
+
+    On dense rows this costs more than a dense Bareiss sweep (about 1.5x
+    on random 80x80 rational matrices); no caller passes dense rows.
     """
     rows = _integer_rows(matrix)
-    if not rows or not rows[0]:
-        return 0
-    height, width = len(rows), len(rows[0])
     rank = 0
-    prev = 1
-    for col in range(width):
-        found = next((r for r in range(rank, height) if rows[r][col]), None)
-        if found is None:
-            continue
-        rows[rank], rows[found] = rows[found], rows[rank]
-        pivot_row = rows[rank]
-        pivot = pivot_row[col]
-        for r in range(rank + 1, height):
-            row = rows[r]
-            lead = row[col]
-            if lead:
-                rows[r] = [(pivot * x - lead * y) // prev for x, y in zip(row, pivot_row)]
-            else:
-                rows[r] = [pivot * x // prev for x in row]
-        prev = pivot
+    while rows:
+        sizes = [len(row) for row in rows]
+        pivot_row = rows.pop(sizes.index(min(sizes)))
         rank += 1
-        if rank == height:
-            break
+        col, p = next(iter(pivot_row.items()))
+        updated = []
+        for row in rows:
+            lead = row.get(col)
+            if lead is not None:
+                g = gcd(p, lead)
+                scale, factor = p // g, lead // g
+                row = {c: scale * x for c, x in row.items()}
+                for c, y in pivot_row.items():
+                    x = row.get(c, 0) - factor * y
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+                if not row:
+                    continue
+                row = _primitive(row)
+            updated.append(row)
+        rows = updated
     return rank
 
 

@@ -13,6 +13,7 @@ from orbitdiag.core import (
     LinearForm,
     Pair,
     QuotientAlgebra,
+    bracket,
     counter_rand,
     enumerate_pattern_ideals,
     random_form,
@@ -65,6 +66,64 @@ def test_skew_matrix_on_the_heisenberg_algebra():
         (Fraction(0), Fraction(1), Fraction(0)),
     )
     assert exact_rank(m) == 2
+
+
+def all_pairs_skew_entries(f, ideal):
+    """The pairing table with a bracket for every ordered pair of the basis."""
+    basis = f.algebra.basis
+    values = f.as_dict()
+
+    def entry(a, b):
+        term = bracket(a, b, ideal)
+        return term.coefficient * values.get(term.pair, 0)
+
+    return tuple(tuple(entry(a, b) for b in basis) for a in basis)
+
+
+def rational_form(algebra, seed):
+    return LinearForm.from_dict(
+        algebra,
+        {
+            pair: Fraction(counter_rand(seed, k, 0) % 19 - 9, counter_rand(seed, k, 1) % 9 + 1)
+            for k, pair in enumerate(algebra.basis)
+        },
+    )
+
+
+def seeded_ideal(n, seed):
+    """A pattern ideal from seeded weakly increasing column thresholds."""
+    thresholds, low = [], 2
+    for col in range(1, n):
+        low = max(low, col + 1)
+        low += counter_rand(seed, n, col) % (n + 2 - low)
+        thresholds.append(low)
+    pairs = [(row, col) for col, r in enumerate(thresholds, start=1) for row in range(r, n + 1)]
+    return validate_pattern_ideal(n, pairs)
+
+
+def assert_skew_matches_all_pairs(ideal, seed):
+    algebra = QuotientAlgebra.from_ideal(ideal)
+    for f in (random_form(algebra, 1000, seed), rational_form(algebra, seed)):
+        entries = skew_form_matrix(f, ideal).entries
+        reference = all_pairs_skew_entries(f, ideal)
+        assert entries == reference, ideal
+        assert [list(map(type, row)) for row in entries] == [
+            list(map(type, row)) for row in reference
+        ], ideal
+
+
+def test_skew_build_matches_all_pairs_on_every_small_ideal():
+    for n in range(1, 8):
+        for position, ideal in enumerate(enumerate_pattern_ideals(n)):
+            assert_skew_matches_all_pairs(ideal, counter_rand(n, position))
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_skew_build_matches_all_pairs_on_seeded_ideals(n):
+    ideals = [validate_pattern_ideal(n, [])] + [seeded_ideal(n, seed) for seed in range(3)]
+    assert len(set(ideals)) > 2
+    for seed, ideal in enumerate(ideals):
+        assert_skew_matches_all_pairs(ideal, seed)
 
 
 def test_skew_matrix_refuses_a_form_of_another_quotient():
@@ -129,6 +188,40 @@ def int_matrices(draw):
 @given(int_matrices())
 def test_rank_matches_plain_elimination(rows):
     assert exact_rank(rows) == naive_rank(rows)
+
+
+@given(st.data())
+def test_rank_matches_plain_elimination_on_rational_rows(data):
+    height = data.draw(st.integers(1, 8), label="height")
+    width = data.draw(st.integers(1, 8), label="width")
+    zero_rows = data.draw(st.sets(st.integers(0, height - 1)), label="zero rows")
+    zero_cols = data.draw(st.sets(st.integers(0, width - 1)), label="zero columns")
+    entry = st.one_of(st.just(0), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+    rows = [
+        [
+            0 if r in zero_rows or c in zero_cols else data.draw(entry)
+            for c in range(width)
+        ]
+        for r in range(height)
+    ]
+    assert exact_rank(rows) == naive_rank(rows)
+
+
+def test_rank_of_tall_wide_and_zero_shapes():
+    assert exact_rank([[0, 0, 0]]) == 0
+    assert exact_rank([[0], [0], [Fraction(2, 3)], [0]]) == 1
+    assert exact_rank([[0, 1, 0, 0, 2], [0, 2, 0, 0, 4], [0, 0, 0, 0, 0]]) == 1
+    assert exact_rank([[1, 0], [0, 1], [1, 1], [Fraction(1, 2), 3]]) == 2
+
+
+def test_rank_of_a_rational_form_on_the_full_algebra_in_bounded_time():
+    ideal = validate_pattern_ideal(20, [])
+    algebra = QuotientAlgebra.from_ideal(ideal)
+    rows = skew_form_matrix(rational_form(algebra, 20), ideal).entries
+    start = time.perf_counter()
+    assert exact_rank(rows) == algebra.dim - 10
+    assert _modular_rank(rows) == algebra.dim - 10
+    assert time.perf_counter() - start < 2
 
 
 def test_skew_rank_is_even():
