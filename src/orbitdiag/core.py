@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -81,7 +82,12 @@ class ConsistencyError(RuntimeError):
 
 def all_pairs(n: int) -> list[Pair]:
     """All positions of A for size n, greatest first in the column order."""
-    return [Pair(i, j) for j in range(1, n) for i in range(n, j, -1)]
+    return list(_pairs(n))
+
+
+@cache
+def _pairs(n: int) -> tuple[Pair, ...]:
+    return tuple(Pair(i, j) for j in range(1, n) for i in range(n, j, -1))
 
 
 def succ_key(pair: Pair) -> tuple[int, int]:
@@ -145,8 +151,13 @@ class QuotientAlgebra:
 
     @classmethod
     def from_ideal(cls, ideal: PatternIdeal) -> "QuotientAlgebra":
-        basis = tuple(p for p in all_pairs(ideal.n) if p not in ideal.members)
+        basis = tuple(p for p in _pairs(ideal.n) if p not in ideal.members)
         return cls(ideal, basis)
+
+    @cached_property
+    def columns(self) -> dict[Pair, int]:
+        """Each basis position's index in the basis, built once per algebra."""
+        return {pair: k for k, pair in enumerate(self.basis)}
 
     @property
     def n(self) -> int:
@@ -189,6 +200,8 @@ def bracket(a: Pair, b: Pair, ideal: PatternIdeal) -> SignedTerm:
 
 def _exact(value) -> int | Fraction:
     """Input boundary: anything `Fraction` accepts, stored as an int when integral."""
+    if type(value) is int:
+        return value
     value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
@@ -206,11 +219,10 @@ class LinearForm:
 
     @classmethod
     def from_dict(cls, algebra: QuotientAlgebra, values: dict[Pair, int | Fraction]) -> "LinearForm":
-        basis = set(algebra.basis)
         cleaned = {}
         for pair, value in values.items():
             pair = Pair(*pair)
-            if pair not in basis:
+            if pair not in algebra.columns:
                 raise OutOfRangeError(pair, algebra.n)
             value = _exact(value)
             if value:
@@ -220,15 +232,15 @@ class LinearForm:
     def as_dict(self) -> dict[Pair, int | Fraction]:
         return dict(self.values)
 
+    @cached_property
+    def lookup(self) -> dict[Pair, int | Fraction]:
+        """The values by position, built once per form; read it, never change it."""
+        return dict(self.values)
+
 
 def _is_unit_lower(entries: tuple[tuple[int | Fraction, ...], ...]) -> bool:
     n = len(entries)
-    for i in range(n):
-        if len(entries[i]) != n or entries[i][i] != 1:
-            return False
-        if any(entries[i][j] != 0 for j in range(i + 1, n)):
-            return False
-    return True
+    return all(len(row) == n and row[i] == 1 and not any(row[i + 1:]) for i, row in enumerate(entries))
 
 
 @dataclass(frozen=True)
@@ -269,11 +281,19 @@ class UnipotentElement:
 
 
 def _mat_mul(a, b):
+    """a * b, adding only the products of two nonzero entries: for unit
+    lower-triangular a and strictly upper-triangular b most are zero."""
     n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    product = []
+    for a_row in a:
+        row = [0] * n
+        for x, b_row in zip(a_row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        row[j] += x * y
+        product.append(tuple(row))
+    return tuple(product)
 
 
 def _solve_right(c, g):
@@ -322,6 +342,7 @@ def coadjoint_act(g: UnipotentElement, f: LinearForm, ideal: PatternIdeal) -> Li
 # same seed reproduces the same stream on any platform, with no hidden state.
 
 _MASK = (1 << 64) - 1
+_STEP = 0x632BE59BD9B4E019
 
 
 def _splitmix64(x: int) -> int:
@@ -335,33 +356,34 @@ def counter_rand(seed: int, *indices: int) -> int:
     """Deterministic 64-bit value keyed by a seed and a counter tuple."""
     state = _splitmix64(seed & _MASK)
     for index in indices:
-        state = _splitmix64(state ^ ((index + 0x632BE59BD9B4E019) & _MASK))
+        state = _splitmix64(state ^ ((index + _STEP) & _MASK))
     return state
 
 
-def _rand_in(seed: int, lo: int, hi: int, *indices: int) -> int:
-    return lo + counter_rand(seed, *indices) % (hi - lo + 1)
+def _counter_run(seed: int, *prefix: int, start: int = 0, count: int) -> list[int]:
+    """counter_rand(seed, *prefix, k) for k in range(start, start + count):
+    the key is hashed once, then each value costs one splitmix."""
+    state = counter_rand(seed, *prefix)
+    return [_splitmix64(state ^ ((k + _STEP) & _MASK)) for k in range(start, start + count)]
+
+
+def _uniform(seed: int, bound: int, start: int, count: int) -> list[int]:
+    """counter_rand(seed, k) mapped onto [-bound, bound], for k in range(start, start + count)."""
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    return [x % (2 * bound + 1) - bound for x in _counter_run(seed, start=start, count=count)]
 
 
 def random_form(algebra: QuotientAlgebra, bound: int, seed: int) -> LinearForm:
     """A reproducible form with integer values in [-bound, bound]."""
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    values = {
-        pair: _rand_in(seed, -bound, bound, index)
-        for index, pair in enumerate(algebra.basis)
-    }
-    return LinearForm.from_dict(algebra, values)
+    values = zip(algebra.basis, _uniform(seed, bound, 0, algebra.dim))
+    return LinearForm(algebra, tuple(sorted((pair, x) for pair, x in values if x)))
 
 
 def random_unipotent(n: int, bound: int, seed: int) -> UnipotentElement:
     """A reproducible unit lower-triangular matrix with entries in [-bound, bound]."""
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    coeffs = {
-        pair: _rand_in(seed, -bound, bound, index + 1_000_003)
-        for index, pair in enumerate(all_pairs(n))
-    }
+    pairs = _pairs(n)
+    coeffs = dict(zip(pairs, _uniform(seed, bound, 1_000_003, len(pairs))))
     return UnipotentElement.from_strict_lower(n, coeffs)
 
 
@@ -383,6 +405,9 @@ def _ideal_from_thresholds(n: int, thresholds: tuple[int, ...]) -> PatternIdeal:
 
 
 def _threshold_vectors(n: int) -> Iterator[tuple[int, ...]]:
+    if not 1 <= n <= 8:
+        raise ValueError(f"enumeration supported for 1 <= n <= 8, got {n}")
+
     def extend(prefix: tuple[int, ...], col: int) -> Iterator[tuple[int, ...]]:
         if col == n:
             yield prefix
@@ -396,16 +421,16 @@ def _threshold_vectors(n: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_pattern_ideals(n: int) -> Iterator[PatternIdeal]:
     """Every lower-left closed subset of A, each exactly once, empty set first."""
-    if not 1 <= n <= 8:
-        raise ValueError(f"enumeration supported for 1 <= n <= 8, got {n}")
     for thresholds in _threshold_vectors(n):
         yield _ideal_from_thresholds(n, thresholds)
 
 
 def sample_pattern_ideals(n: int, count: int, seed: int) -> list[PatternIdeal]:
-    """A deterministic pseudo-random subset of the full enumeration."""
-    ideals = list(enumerate_pattern_ideals(n))
-    if count > len(ideals):
-        raise ValueError(f"only {len(ideals)} pattern ideals exist for n={n}")
-    order = sorted(range(len(ideals)), key=lambda i: counter_rand(seed, n, i))
-    return [ideals[i] for i in order[:count]]
+    """A deterministic pseudo-random subset of the full enumeration: the
+    ideals whose positions k in it have the least counter_rand(seed, n, k).
+    Only the returned ideals are built."""
+    vectors = list(_threshold_vectors(n))
+    if count > len(vectors):
+        raise ValueError(f"only {len(vectors)} pattern ideals exist for n={n}")
+    order = sorted(zip(_counter_run(seed, n, count=len(vectors)), range(len(vectors))))
+    return [_ideal_from_thresholds(n, vectors[k]) for _, k in order[:count]]

@@ -30,7 +30,6 @@ from .core import (
     LinearForm,
     PatternIdeal,
     QuotientAlgebra,
-    bracket,
     coadjoint_act,
     counter_rand,
     random_form,
@@ -56,38 +55,51 @@ _RETRIES = 5
 
 @dataclass(frozen=True)
 class SkewMatrix:
-    """The pairing table f([y_a, y_b]) over the surviving basis."""
+    """The pairing table f([y_a, y_b]) over the surviving basis, kept as
+    sparse rows {column: nonzero value} in ascending column order."""
 
     dim: int
-    entries: tuple[tuple[int | Fraction, ...], ...]
+    rows: tuple[dict[int, int | Fraction], ...]
+
+    @property
+    def entries(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        """The dense table, derived from the rows."""
+        return tuple(tuple(row.get(c, 0) for c in range(self.dim)) for row in self.rows)
 
 
 def skew_form_matrix(f: LinearForm, ideal: PatternIdeal) -> SkewMatrix:
     """The pairing table, from the brackets that can be nonzero.
 
     [y_a, y_b] vanishes unless the two positions share an index: for
-    a = (i, j) the only partners are (j, l) with l < j and (k, i) with
-    k > i, so only those are bracketed and every other entry is 0.
+    a = (i, j) the only partners are b = (j, l) with l < j, where
+    [y_a, y_b] = y[i,l], and b = (k, i) with k > i, where it is -y[k,j];
+    a bracket landing in the ideal has no value in f.  Listed in that
+    order, with k falling, the partners come in ascending basis position.
     """
     if f.algebra.ideal != ideal:
         raise DimensionMismatchError("form and ideal must belong to the same quotient")
-    basis = f.algebra.basis
-    values = f.as_dict()
-    columns = {pair: k for k, pair in enumerate(basis)}
+    values = f.lookup
+    columns = f.algebra.columns
     rows = []
-    for a in basis:
-        row = [0] * len(basis)
-        partners = [(a.col, l) for l in range(1, a.col)]
-        partners += [(k, a.row) for k in range(a.row + 1, ideal.n + 1)]
-        for b in partners:
-            col = columns.get(b)
-            if col is not None:
-                term = bracket(a, basis[col], ideal)
-                value = values.get(term.pair, 0)
-                # a coefficient is +-1, and negating a Fraction is cheaper than a product
-                row[col] = -value if term.coefficient < 0 else value
-        rows.append(tuple(row))
-    return SkewMatrix(len(basis), tuple(rows))
+    for i, j in f.algebra.basis:
+        row = {}
+        for l in range(1, j):
+            col, value = columns.get((j, l)), values.get((i, l))
+            if col is not None and value:
+                row[col] = value
+        for k in range(ideal.n, i, -1):
+            col, value = columns.get((k, i)), values.get((k, j))
+            if col is not None and value:
+                row[col] = -value
+        rows.append(row)
+    return SkewMatrix(len(rows), tuple(rows))
+
+
+def _sparse_rows(matrix) -> list[dict]:
+    """The nonzero rows {column: entry}: a SkewMatrix's own, or dense rows' nonzero cells."""
+    if isinstance(matrix, SkewMatrix):
+        return [row for row in matrix.rows if row]
+    return [row for row in ({c: x for c, x in enumerate(r) if x} for r in matrix) if row]
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -98,34 +110,59 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {c: x // content for c, x in row.items()}
 
 
-def _integer_rows(matrix) -> list[dict[int, int]]:
-    """The nonzero rows as primitive integer rows {column: entry}.
+def _eliminate(rows: list[dict[int, int]], modulus: int = 0) -> int:
+    """Rank of sparse integer rows {column: entry}: over Q, or over GF(modulus).
 
-    Denominators are cleared per row; rank is scale-invariant.
+    The pivot row is the remaining row with the fewest nonzeros, pivoting
+    on its first entry p in column c; each row with an entry `lead` in
+    column c becomes (p/g)·row - (lead/g)·pivot, g = gcd(p, lead).  Over Q
+    that row is then divided by its content; mod p the pivot is first
+    scaled to p = 1, so only the pivot's columns need reducing.  Rows
+    without an entry in c are not touched.  The given rows are not changed.
     """
-    rows = matrix.entries if isinstance(matrix, SkewMatrix) else matrix
-    cleared = []
-    for row in rows:
-        entries = {c: x for c, x in enumerate(row) if x}
-        if entries:
-            scale = lcm(*(x.denominator for x in entries.values()))
-            cleared.append(
-                _primitive({c: x.numerator * (scale // x.denominator) for c, x in entries.items()})
-            )
-    return cleared
+    rows = [row for row in rows if row]
+    rank = 0
+    while rows:
+        sizes = [len(row) for row in rows]
+        pivot_row = rows.pop(sizes.index(min(sizes)))
+        rank += 1
+        col, p = next(iter(pivot_row.items()))
+        if modulus:
+            inverse = pow(p, -1, modulus)
+            pivot_row = {c: y * inverse % modulus for c, y in pivot_row.items()}
+            p = 1
+        updated = []
+        for row in rows:
+            lead = row.get(col)
+            if lead is not None:
+                g = gcd(p, lead)
+                scale, factor = p // g, lead // g
+                row = {c: scale * x for c, x in row.items()}
+                for c, y in pivot_row.items():
+                    x = row.get(c, 0) - factor * y
+                    if modulus:
+                        x %= modulus
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+                if not row:
+                    continue
+                if not modulus:
+                    row = _primitive(row)
+            updated.append(row)
+        rows = updated
+    return rank
 
 
 def exact_rank(matrix) -> int:
     """Rank over the rationals, by fraction-free elimination on sparse rows.
 
-    Accepts a SkewMatrix or any rectangular iterable of rational rows.
-    Each row is kept as {column: int}, its denominators cleared and its
-    content divided out.  The pivot row is the remaining row with the
-    fewest nonzeros, pivoting on any entry p of it in column c; each row
-    with an entry `lead` in column c becomes (p/g)·row - (lead/g)·pivot,
-    g = gcd(p, lead), divided by its content.  Rows without an entry in c
-    are not touched, which is the whole gain: a skew form of ut(n)/m has
-    at most n - 2 nonzeros per row.
+    Accepts a SkewMatrix, whose sparse rows are read as they are, or any
+    rectangular iterable of rational rows.  Each row's denominators are
+    cleared and its content divided out; `_eliminate` touches only the rows
+    that meet the pivot's column, and a skew form of ut(n)/m has at most
+    n - 2 nonzeros per row.
 
     Entry size.  Let M be the integer matrix the rows start as, P the rows
     taken as pivots so far and C their pivot columns.  A reduced row r is
@@ -141,32 +178,11 @@ def exact_rank(matrix) -> int:
     On dense rows this costs more than a dense Bareiss sweep (about 1.5x
     on random 80x80 rational matrices); no caller passes dense rows.
     """
-    rows = _integer_rows(matrix)
-    rank = 0
-    while rows:
-        sizes = [len(row) for row in rows]
-        pivot_row = rows.pop(sizes.index(min(sizes)))
-        rank += 1
-        col, p = next(iter(pivot_row.items()))
-        updated = []
-        for row in rows:
-            lead = row.get(col)
-            if lead is not None:
-                g = gcd(p, lead)
-                scale, factor = p // g, lead // g
-                row = {c: scale * x for c, x in row.items()}
-                for c, y in pivot_row.items():
-                    x = row.get(c, 0) - factor * y
-                    if x:
-                        row[c] = x
-                    else:
-                        del row[c]
-                if not row:
-                    continue
-                row = _primitive(row)
-            updated.append(row)
-        rows = updated
-    return rank
+    cleared = []
+    for row in _sparse_rows(matrix):
+        scale = lcm(*(x.denominator for x in row.values()))
+        cleared.append(_primitive({c: x.numerator * (scale // x.denominator) for c, x in row.items()}))
+    return _eliminate(cleared)
 
 
 def _reduce(x) -> int:
@@ -179,35 +195,14 @@ def _reduce(x) -> int:
     return x.numerator * pow(den, -1, _P) % _P
 
 
-def _modular_rank(rows) -> int:
-    """Rank mod p of rational rows, by Gaussian elimination over GF(p).
+def _modular_rank(matrix) -> int:
+    """Rank mod p of a SkewMatrix or of rational rows, by `_eliminate` over GF(p).
 
     A lower bound for the rank over Q (see the module docstring), equal to
     it unless p divides every maximal nonzero minor.
     """
-    rows = [[_reduce(x) for x in row] for row in rows]
-    if not rows or not rows[0]:
-        return 0
-    height, width = len(rows), len(rows[0])
-    rank = 0
-    # an updated row keeps only its columns from the pivot's on, so each
-    # column is read at its offset from the end, the same in every row
-    for col in range(-width, 0):
-        found = next((r for r in range(rank, height) if rows[r][col]), None)
-        if found is None:
-            continue
-        rows[rank], rows[found] = rows[found], rows[rank]
-        tail = rows[rank][col:]
-        inverse = pow(tail[0], -1, _P)
-        for r in range(rank + 1, height):
-            row = rows[r]
-            factor = row[col] * inverse % _P
-            if factor:
-                rows[r] = [(x - factor * y) % _P for x, y in zip(row[col:], tail)]
-        rank += 1
-        if rank == height:
-            break
-    return rank
+    rows = _sparse_rows(matrix)
+    return _eliminate([{c: r for c, x in row.items() if (r := _reduce(x))} for row in rows], _P)
 
 
 def index_oracle(
@@ -229,7 +224,7 @@ def index_oracle(
     best = 0
     for trial in range(trials):
         f = random_form(algebra, bound, counter_rand(seed, 0xF0, trial))
-        best = max(best, _modular_rank(skew_form_matrix(f, ideal).entries))
+        best = max(best, _modular_rank(skew_form_matrix(f, ideal)))
     return algebra.dim - best, best
 
 
@@ -276,8 +271,7 @@ def jacobian_rank(zs: list[Polynomial], f: LinearForm) -> int:
     in one walk over its z's terms; no partial derivative is built.
     """
     values = {pair: _reduce(v) for pair, v in f.values}
-    columns = {pair: i for i, pair in enumerate(f.algebra.basis)}
-    return _modular_rank(_gradient(z, values, columns) for z in zs)
+    return _modular_rank(_gradient(z, values, f.algebra.columns) for z in zs)
 
 
 def generic_jacobian_rank(

@@ -227,8 +227,8 @@ def poisson_bracket(a: Polynomial, b: Polynomial, ideal: PatternIdeal) -> Polyno
 
 
 def evaluate(p: Polynomial, f: LinearForm) -> int | Fraction:
-    basis = set(f.algebra.basis)
-    values = f.as_dict()
+    basis = f.algebra.columns
+    values = f.lookup
     total = 0
     for m, c in p.terms.items():
         prod = c

@@ -17,6 +17,7 @@ from orbitdiag.core import (
     QuotientAlgebra,
     UnipotentElement,
     ZERO_TERM,
+    _mat_mul,
     all_pairs,
     bracket,
     coadjoint_act,
@@ -194,6 +195,28 @@ def test_unipotent_inverse_with_rational_entries():
         assert any(x.denominator > 1 for row in g.entries for x in row)
         assert g * g.inverse() == UnipotentElement.identity(6)
         assert g.inverse() * g == UnipotentElement.identity(6)
+
+
+SCALARS = st.one_of(st.integers(-5, 5), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+
+
+@given(st.data())
+def test_mat_mul_equals_the_triple_sum_on_triangular_factors(data):
+    # unit lower-triangular times strictly upper-triangular, the shape of g * b
+    # in the coadjoint action; some rows of each strict part are all zero
+    n = data.draw(st.integers(1, 7))
+    zero_rows = data.draw(st.sets(st.integers(0, n - 1)))
+
+    def entry(i, inside):
+        return data.draw(SCALARS) if inside and i not in zero_rows else 0
+
+    a = tuple(tuple(1 if i == j else entry(i, j < i) for j in range(n)) for i in range(n))
+    b = tuple(tuple(entry(i, j > i) for j in range(n)) for i in range(n))
+    triple_sum = tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
+    assert _mat_mul(a, b) == triple_sum
+    assert _mat_mul(a, tuple(tuple(0 for _ in range(n)) for _ in range(n))) == ((0,) * n,) * n
 
 
 # --- coadjoint action -----------------------------------------------------------

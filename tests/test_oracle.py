@@ -251,6 +251,19 @@ def test_modular_rank_equals_exact_rank_on_the_full_algebra(n):
     assert _modular_rank(rows) == exact_rank(rows) == len(rows) - n // 2
 
 
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_sparse_modular_rank_equals_exact_rank_on_large_ideals(n):
+    ideals = [validate_pattern_ideal(n, [])] + [seeded_ideal(n, seed) for seed in range(3)]
+    for seed, ideal in enumerate(ideals):
+        algebra = QuotientAlgebra.from_ideal(ideal)
+        for f in (random_form(algebra, 1000, seed), rational_form(algebra, seed)):
+            m = skew_form_matrix(f, ideal)
+            rank = exact_rank(m)
+            assert _modular_rank(m) == _modular_rank(m.entries) == exact_rank(m.entries) == rank, ideal
+            if not ideal.members:
+                assert rank == algebra.dim - n // 2
+
+
 @given(st.data())
 def test_modular_rank_equals_exact_rank_on_rational_rows(data):
     height = data.draw(st.integers(1, 5))
