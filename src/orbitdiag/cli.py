@@ -221,17 +221,20 @@ def run_verify(max_n: int, trials: int, seed: int, bound: int) -> tuple[dict, bo
     "<ideal>"` with the same trials and bound replays the agreement check.
     Returns (report, all_passed) with a deterministic report layout.
     """
+    if max_n < 2:
+        raise ValueError(f"max_n must be at least 2, got {max_n}")
     agreement = {"checked": 0, "failures": []}
     structural = {"checked": 0, "failures": []}
     symbolic = {"checked": 0, "failures": []}
     invariance = {"checked": 0, "failures": []}
     independence = {"checked": 0, "failures": []}
     total = 0
-    for n in range(2, max_n + 1):
-        if n <= 6:
-            ideals = list(enumerate_pattern_ideals(n))
-        else:
-            ideals = sample_pattern_ideals(n, 25, seed)
+    # every size's ideals first, so an unsupported max_n fails before any check
+    sizes = [
+        (n, list(enumerate_pattern_ideals(n)) if n <= 6 else sample_pattern_ideals(n, 25, seed))
+        for n in range(2, max_n + 1)
+    ]
+    for n, ideals in sizes:
         for position, ideal in enumerate(ideals):
             total += 1
             case_seed = counter_rand(seed, 0x1D, n, position)

@@ -80,13 +80,9 @@ class ConsistencyError(RuntimeError):
     Not a ValueError: the command line reports those as bad input."""
 
 
-def all_pairs(n: int) -> list[Pair]:
-    """All positions of A for size n, greatest first in the column order."""
-    return list(_pairs(n))
-
-
 @cache
-def _pairs(n: int) -> tuple[Pair, ...]:
+def all_pairs(n: int) -> tuple[Pair, ...]:
+    """All positions of A for size n, greatest first in the column order."""
     return tuple(Pair(i, j) for j in range(1, n) for i in range(n, j, -1))
 
 
@@ -151,7 +147,7 @@ class QuotientAlgebra:
 
     @classmethod
     def from_ideal(cls, ideal: PatternIdeal) -> "QuotientAlgebra":
-        basis = tuple(p for p in _pairs(ideal.n) if p not in ideal.members)
+        basis = tuple(p for p in all_pairs(ideal.n) if p not in ideal.members)
         return cls(ideal, basis)
 
     @cached_property
@@ -229,9 +225,6 @@ class LinearForm:
                 cleaned[pair] = value
         return cls(algebra, tuple(sorted(cleaned.items())))
 
-    def as_dict(self) -> dict[Pair, int | Fraction]:
-        return dict(self.values)
-
     @cached_property
     def lookup(self) -> dict[Pair, int | Fraction]:
         """The values by position, built once per form; read it, never change it."""
@@ -245,17 +238,19 @@ def _is_unit_lower(entries: tuple[tuple[int | Fraction, ...], ...]) -> bool:
 
 @dataclass(frozen=True)
 class UnipotentElement:
-    """A lower-triangular matrix with unit diagonal, exact entries."""
+    """A lower-triangular matrix with unit diagonal and `int` or `Fraction` entries."""
 
     entries: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
+        if not all(isinstance(x, (int, Fraction)) for row in self.entries for x in row):
+            raise ValueError("entries must be int or Fraction; from_strict_lower converts other numbers")
         if not _is_unit_lower(self.entries):
             raise ValueError("entries must be lower triangular with unit diagonal")
 
     @classmethod
     def identity(cls, n: int) -> "UnipotentElement":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls.from_strict_lower(n, {})
 
     @classmethod
     def from_strict_lower(cls, n: int, coeffs: dict[Pair, int | Fraction]) -> "UnipotentElement":
@@ -328,12 +323,8 @@ def coadjoint_act(g: UnipotentElement, f: LinearForm, ideal: PatternIdeal) -> Li
     for pair in ideal.members:
         if moved[pair.col - 1][pair.row - 1] != 0:
             raise ConsistencyError(f"coadjoint action left the annihilator of the ideal at {tuple(pair)}")
-    values = {}
-    for pair in f.algebra.basis:
-        value = moved[pair.col - 1][pair.row - 1]
-        if value:
-            values[pair] = value
-    return LinearForm.from_dict(f.algebra, values)
+    values = ((pair, moved[pair.col - 1][pair.row - 1]) for pair in f.algebra.basis)
+    return LinearForm(f.algebra, tuple(sorted((pair, _exact(x)) for pair, x in values if x)))
 
 
 # --- deterministic pseudo-randomness -------------------------------------
@@ -382,9 +373,10 @@ def random_form(algebra: QuotientAlgebra, bound: int, seed: int) -> LinearForm:
 
 def random_unipotent(n: int, bound: int, seed: int) -> UnipotentElement:
     """A reproducible unit lower-triangular matrix with entries in [-bound, bound]."""
-    pairs = _pairs(n)
-    coeffs = dict(zip(pairs, _uniform(seed, bound, 1_000_003, len(pairs))))
-    return UnipotentElement.from_strict_lower(n, coeffs)
+    rows = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+    for (i, j), x in zip(all_pairs(n), _uniform(seed, bound, 1_000_003, n * (n - 1) // 2)):
+        rows[i - 1][j - 1] = x
+    return UnipotentElement(tuple(map(tuple, rows)))
 
 
 # --- enumeration of pattern ideals ----------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from orbitdiag import cli as cli_mod
 from orbitdiag import invariants as invariants_mod
 from orbitdiag import oracle as oracle_mod
 from orbitdiag.cli import (
@@ -336,6 +337,18 @@ def test_verify_command(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
     assert doc["ideals_checked"] == 7
+
+
+@pytest.mark.parametrize("max_n", ["1", "-3", "9"])
+def test_verify_refuses_an_unsupported_max_n_before_any_check(capsys, monkeypatch, max_n):
+    checked = []
+    monkeypatch.setattr(cli_mod, "build_diagram", checked.append)
+    assert dispatch(["verify", f"--max-n={max_n}", "--trials", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, checked) == ("", [])
+    assert err.startswith("error:")
+    if max_n != "9":
+        assert "max_n" in err
 
 
 def test_console_entry_point():

@@ -43,7 +43,7 @@ def pairs_strategy(n):
 
 def test_order_chain_n4():
     chain = [(4, 1), (3, 1), (2, 1), (4, 2), (3, 2), (4, 3)]
-    assert all_pairs(4) == [Pair(*p) for p in chain]
+    assert list(all_pairs(4)) == [Pair(*p) for p in chain]
     for a, b in itertools.combinations(chain, 2):
         assert order_gt(Pair(*a), Pair(*b))
         assert not order_gt(Pair(*b), Pair(*a))
@@ -172,6 +172,14 @@ def test_unipotent_must_be_unit_lower():
         UnipotentElement(((Fraction(1), Fraction(3)), (Fraction(0), Fraction(1))))
 
 
+def test_unipotent_refuses_inexact_entries():
+    with pytest.raises(ValueError, match="int or Fraction"):
+        UnipotentElement(((1, 0, 0), (0.1, 1, 0), (0.2, 0.3, 1)))
+    # the boundary constructor still makes such values exact
+    g = UnipotentElement.from_strict_lower(3, {Pair(2, 1): 0.1, Pair(3, 1): 0.2, Pair(3, 2): 0.3})
+    assert g.entries[1][0] == Fraction(0.1) and type(g.entries[2][1]) is Fraction
+
+
 def test_unipotent_inverse():
     for seed in range(5):
         g = random_unipotent(6, 7, seed)
@@ -229,10 +237,10 @@ def test_coadjoint_small_matrix_cases():
 
     f = LinearForm.from_dict(algebra, {Pair(3, 1): Fraction(1)})
     moved = coadjoint_act(g, f, ut3)
-    assert moved.as_dict() == {Pair(3, 1): 1, Pair(3, 2): 1}
+    assert moved.lookup == {Pair(3, 1): 1, Pair(3, 2): 1}
 
     f = LinearForm.from_dict(algebra, {Pair(2, 1): Fraction(1)})
-    assert coadjoint_act(g, f, ut3).as_dict() == {Pair(2, 1): 1}
+    assert coadjoint_act(g, f, ut3).lookup == {Pair(2, 1): 1}
 
 
 def test_coadjoint_identity_fixes_everything():
@@ -284,7 +292,7 @@ def test_coadjoint_keeps_annihilator():
         moved = coadjoint_act(
             random_unipotent(7, 4, seed), random_form(algebra, 50, seed), ideal
         )
-        assert not set(moved.as_dict()) & ideal.members
+        assert not set(moved.lookup) & ideal.members
 
 
 # --- enumeration and sampling ----------------------------------------------------
@@ -358,7 +366,7 @@ def test_random_form_contract():
     again = random_form(algebra, 4, 77)
     assert random_form(algebra, 4, 77).values == again.values
     assert random_form(algebra, 4, 78).values != again.values
-    assert all(abs(v) <= 1 for v in random_form(algebra, 1, 3).as_dict().values())
+    assert all(abs(v) <= 1 for v in random_form(algebra, 1, 3).lookup.values())
 
 
 def test_random_unipotent_is_reproducible():

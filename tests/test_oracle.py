@@ -71,7 +71,7 @@ def test_skew_matrix_on_the_heisenberg_algebra():
 def all_pairs_skew_entries(f, ideal):
     """The pairing table with a bracket for every ordered pair of the basis."""
     basis = f.algebra.basis
-    values = f.as_dict()
+    values = f.lookup
 
     def entry(a, b):
         term = bracket(a, b, ideal)
