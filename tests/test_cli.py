@@ -1,5 +1,6 @@
 """Command-line layer: spec parsing, rendering, JSON bundles, exit codes."""
 
+import hashlib
 import io
 import json
 import re
@@ -337,6 +338,16 @@ def test_verify_command(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
     assert doc["ideals_checked"] == 7
+
+
+@pytest.mark.parametrize(
+    "seed, expected", [("0", "4c198c6a3a9244f7"), ("1", "32fb0300bcebc126")]
+)
+def test_verify_report_is_pinned(capsys, seed, expected):
+    # sha256 prefix of the whole report, sampled sizes included, as tests/test_streams.py pins streams
+    assert dispatch(["verify", "--max-n", "8", "--seed", seed]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()[:16]) == (486, expected)
 
 
 @pytest.mark.parametrize("max_n", ["1", "-3", "9"])
