@@ -82,7 +82,7 @@ def parse_ideal_spec(text: str) -> IdealSpec:
     if colon < 0:
         raise IdealSyntaxError("expected ':' after the matrix size", len(text))
     head = text[:colon].strip()
-    if not head.isdigit():
+    if not head.isdecimal():
         raise IdealSyntaxError("matrix size must be a positive integer", 0)
     pairs = []
     offset = colon + 1
@@ -92,7 +92,7 @@ def parse_ideal_spec(text: str) -> IdealSpec:
             entry = segment.strip()
             start = offset + len(segment) - len(segment.lstrip())
             parts = entry.split(",")
-            if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
+            if len(parts) != 2 or not all(p.strip().isdecimal() for p in parts):
                 raise IdealSyntaxError("expected a pair like 'i,j'", start)
             pairs.append(Pair(int(parts[0]), int(parts[1])))
             offset += len(segment) + 1
@@ -213,80 +213,63 @@ def _structural_problem(d: Diagram) -> str | None:
 def run_verify(max_n: int, trials: int, seed: int, bound: int) -> tuple[dict, bool]:
     """Check every property we know how to state, over many ideals.
 
-    Exhaustive over pattern ideals for n <= 6, a 25-ideal sample for
-    n in {7, 8}.  Symbolic checks scale down with n (centrality, shape
-    and full step-by-step relation verification for n <= 5, construction
-    only above); the numeric oracles run everywhere.  Every failure string
-    starts with "<ideal> [seed S]", so `index --oracle --seed S --ideal
-    "<ideal>"` with the same trials and bound replays the agreement check.
-    Returns (report, all_passed) with a deterministic report layout.
+    Exhaustive over pattern ideals for n <= 6, a 25-ideal sample for n in
+    {7, 8}, each size built when reached; max_n runs over 2..8.  Symbolic
+    checks (centrality, shape, step-by-step relations) run for n <= 5, the
+    numeric oracles everywhere.  Every failure string starts with "<ideal>
+    [seed S]", so `index --oracle --seed S --ideal "<ideal>"` with the same
+    trials and bound replays the agreement check.  Returns (report,
+    all_passed) with a deterministic report layout.
     """
-    if max_n < 2:
-        raise ValueError(f"max_n must be at least 2, got {max_n}")
-    agreement = {"checked": 0, "failures": []}
-    structural = {"checked": 0, "failures": []}
-    symbolic = {"checked": 0, "failures": []}
-    invariance = {"checked": 0, "failures": []}
-    independence = {"checked": 0, "failures": []}
+    if not 2 <= max_n <= 8:
+        raise ValueError(f"max_n must be between 2 and 8, got {max_n}")
+    names = ("diagram_oracle_agreement", "structural", "symbolic", "invariance", "independence")
+    checks = {name: {"checked": 0, "failures": []} for name in names}
+
+    def outcomes(n, ideal, d, case_seed):
+        """(check, None) as a check starts, (check, problem) as it fails."""
+        index, orbit_dim = index_of(d), max_orbit_dim(d)
+        yield "structural", None
+        problem = _structural_problem(d)
+        if problem:
+            yield "structural", problem
+        yield "diagram_oracle_agreement", None
+        oracle_index, oracle_rank = oracle_mod.index_oracle(ideal, trials, bound, case_seed)
+        if (oracle_index, oracle_rank) != (index, orbit_dim):
+            yield "diagram_oracle_agreement", (
+                f"diagram ({index}, {orbit_dim}) vs oracle ({oracle_index}, {oracle_rank})"
+            )
+        try:
+            zs = invariants_mod.build_invariants(d, check=n <= 5)
+            if n <= 5:
+                yield "symbolic", None
+                state = invariants_mod.initial_state(d)
+                for i in range(1, d.s + 1):
+                    report = invariants_mod.verify_relations(state, d, i)
+                    if not report.passed:
+                        yield "symbolic", f"step {i}: {report.counterexample}"
+                    state = invariants_mod.theta_step(state, d, i)
+            yield "invariance", None
+            if not oracle_mod.invariance_oracle(zs, ideal, trials, case_seed):
+                yield "invariance", "an invariant moved under the coadjoint action"
+            yield "independence", None
+            jrank = oracle_mod.generic_jacobian_rank(zs, ideal, case_seed, bound)
+            if jrank != len(zs):
+                yield "independence", f"jacobian rank {jrank}, expected {len(zs)}"
+        except Exception as exc:  # noqa: BLE001 -- a bad invariant must fail the run, not kill it
+            yield "symbolic", repr(exc)
+
     total = 0
-    # every size's ideals first, so an unsupported max_n fails before any check
-    sizes = [
-        (n, list(enumerate_pattern_ideals(n)) if n <= 6 else sample_pattern_ideals(n, 25, seed))
-        for n in range(2, max_n + 1)
-    ]
-    for n, ideals in sizes:
+    for n in range(2, max_n + 1):
+        ideals = enumerate_pattern_ideals(n) if n <= 6 else sample_pattern_ideals(n, 25, seed)
         for position, ideal in enumerate(ideals):
             total += 1
             case_seed = counter_rand(seed, 0x1D, n, position)
-            where = f"{_ideal_label(ideal)} [seed {case_seed}]"
-            d = build_diagram(ideal)
-            structural["checked"] += 1
-            problem = _structural_problem(d)
-            if problem:
-                structural["failures"].append(f"{where}: {problem}")
-            agreement["checked"] += 1
-            oracle_index, oracle_rank = oracle_mod.index_oracle(
-                ideal, trials, bound, case_seed
-            )
-            if oracle_index != index_of(d) or oracle_rank != max_orbit_dim(d):
-                agreement["failures"].append(
-                    f"{where}: diagram ({index_of(d)}, {max_orbit_dim(d)})"
-                    f" vs oracle ({oracle_index}, {oracle_rank})"
-                )
-            try:
-                if n <= 5:
-                    zs = invariants_mod.build_invariants(d, check=True)
-                    symbolic["checked"] += 1
-                    state = invariants_mod.initial_state(d)
-                    for i in range(1, d.s + 1):
-                        report = invariants_mod.verify_relations(state, d, i)
-                        if not report.passed:
-                            symbolic["failures"].append(
-                                f"{where}: step {i}: {report.counterexample}"
-                            )
-                        state = invariants_mod.theta_step(state, d, i)
+            for name, problem in outcomes(n, ideal, build_diagram(ideal), case_seed):
+                if problem is None:
+                    checks[name]["checked"] += 1
                 else:
-                    zs = invariants_mod.build_invariants(d, check=False)
-                invariance["checked"] += 1
-                if not oracle_mod.invariance_oracle(zs, ideal, trials, case_seed):
-                    invariance["failures"].append(
-                        f"{where}: an invariant moved under the coadjoint action"
-                    )
-                independence["checked"] += 1
-                jrank = oracle_mod.generic_jacobian_rank(zs, ideal, case_seed, bound)
-                if jrank != len(zs):
-                    independence["failures"].append(
-                        f"{where}: jacobian rank {jrank}, expected {len(zs)}"
-                    )
-            except Exception as exc:  # noqa: BLE001 -- a bad invariant must fail the run, not kill it
-                symbolic["failures"].append(f"{where}: {exc!r}")
-    checks = {
-        "diagram_oracle_agreement": agreement,
-        "structural": structural,
-        "symbolic": symbolic,
-        "invariance": invariance,
-        "independence": independence,
-    }
+                    checks[name]["failures"].append(f"{_ideal_label(ideal)} [seed {case_seed}]: {problem}")
     passed = all(not block["failures"] for block in checks.values())
     report = {
         "max_n": max_n,
@@ -360,7 +343,7 @@ def _load_form(path: str, ideal: PatternIdeal) -> LinearForm:
     values = {}
     for key, value in raw:
         parts = key.split(",")
-        if len(parts) != 2 or not all(p.strip().lstrip("-").isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.strip().lstrip("-").isdecimal() for p in parts):
             raise ValueError(f"bad coordinate key {key!r} in form file")
         pair = Pair(int(parts[0]), int(parts[1]))
         if pair in values:
@@ -375,7 +358,7 @@ def _load_form(path: str, ideal: PatternIdeal) -> LinearForm:
 def _run(args) -> int:
     if args.command == "verify":
         report, passed = run_verify(args.max_n, args.trials, args.seed, args.bound)
-        print(json.dumps(report, indent=2))
+        print(emit_json(report))
         return 0 if passed else 1
     ideal = parse_ideal_spec(_ideal_text(args.ideal)).to_ideal()
     d = build_diagram(ideal)

@@ -51,12 +51,14 @@ class Pair(NamedTuple):
 
 
 class OutOfRangeError(ValueError):
-    """A pair is not a strictly lower-triangular position within n."""
+    """A pair is not a strictly lower-triangular position within n, or lies in the ideal."""
 
-    def __init__(self, pair: Pair, n: int):
+    def __init__(self, pair: Pair, n: int, in_ideal: bool = False):
         self.pair = pair
         self.n = n
-        super().__init__(f"pair {tuple(pair)} is not strictly lower-triangular in size {n}")
+        reason = ("lies in the ideal, where every form vanishes" if in_ideal
+                  else f"is not strictly lower-triangular in size {n}")
+        super().__init__(f"pair {tuple(pair)} {reason}")
 
 
 class NotAnIdealError(ValueError):
@@ -219,7 +221,7 @@ class LinearForm:
         for pair, value in values.items():
             pair = Pair(*pair)
             if pair not in algebra.columns:
-                raise OutOfRangeError(pair, algebra.n)
+                raise OutOfRangeError(pair, algebra.n, pair in algebra.ideal.members)
             value = _exact(value)
             if value:
                 cleaned[pair] = value

@@ -54,6 +54,10 @@ def test_parse_ideal_spec_errors():
         ("3: 2", 3),
         ("3: a,b", 3),
         ("3: 2,1; x", 8),
+        # digits that int() refuses are syntax errors with a position, not bare int() failures
+        ("²:", 0),
+        ("4: ²,1", 3),
+        ("4: 4,¹", 3),
     ]
     for text, position in cases:
         with pytest.raises(IdealSyntaxError) as info:
@@ -269,6 +273,13 @@ def test_orbit_dim_rejects_bad_form_keys(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_orbit_dim_names_a_form_value_on_the_ideal(capsys, tmp_path):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"5,1": "1/2"}))
+    assert dispatch(["orbit-dim", "--ideal", EXAMPLE_SPEC, "--form", str(path)]) == 2
+    assert capsys.readouterr().err == "error: pair (5, 1) lies in the ideal, where every form vanishes\n"
+
+
 @pytest.mark.parametrize(
     "text, named",
     [
@@ -276,6 +287,9 @@ def test_orbit_dim_rejects_bad_form_keys(capsys, tmp_path):
         ('{"2,1": "1/0"}', "'2,1'"),
         ('{"2,1": 1, "2,1 ": 2}', "'2,1 '"),
         ('{"2,1": 1, "2,1": 2}', "'2,1'"),
+        # digits that int() refuses make a bad key, not a bare int() failure
+        ('{"²,1": 1}', "bad coordinate key '²,1'"),
+        ('{"2,-¹": 1}', "bad coordinate key '2,-¹'"),
     ],
 )
 def test_orbit_dim_rejects_bad_form_files(capsys, tmp_path, text, named):
@@ -357,9 +371,7 @@ def test_verify_refuses_an_unsupported_max_n_before_any_check(capsys, monkeypatc
     assert dispatch(["verify", f"--max-n={max_n}", "--trials", "1"]) == 2
     out, err = capsys.readouterr()
     assert (out, checked) == ("", [])
-    assert err.startswith("error:")
-    if max_n != "9":
-        assert "max_n" in err
+    assert err.startswith("error:") and "max_n" in err
 
 
 def test_console_entry_point():

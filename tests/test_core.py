@@ -158,6 +158,14 @@ def test_form_rejects_ideal_positions():
         LinearForm.from_dict(algebra, {Pair(7, 1): Fraction(1)})
 
 
+def test_form_errors_tell_an_ideal_position_from_one_outside_a():
+    algebra = QuotientAlgebra.from_ideal(validate_pattern_ideal(7, EXAMPLE_IDEAL))
+    with pytest.raises(OutOfRangeError, match=r"^pair \(5, 1\) lies in the ideal"):
+        LinearForm.from_dict(algebra, {Pair(5, 1): Fraction(1, 2)})
+    with pytest.raises(OutOfRangeError, match=r"^pair \(9, 1\) is not strictly lower-triangular in size 7$"):
+        LinearForm.from_dict(algebra, {Pair(9, 1): 1})
+
+
 def test_form_missing_coordinate_reads_zero():
     algebra = QuotientAlgebra.from_ideal(validate_pattern_ideal(3, []))
     f = LinearForm.from_dict(algebra, {Pair(3, 1): Fraction(2)})
