@@ -15,16 +15,14 @@ commands are deterministic in --seed (default 0).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import invariants as invariants_mod
-from . import oracle as oracle_mod
 from .core import (
     ConsistencyError,
     LinearForm,
+    MissingCoordinateError,
     Pair,
     PatternIdeal,
     QuotientAlgebra,
@@ -46,7 +44,6 @@ from .diagram import (
     index_of,
     max_orbit_dim,
 )
-from .polyring import MissingCoordinateError, canonical_string
 
 __all__ = [
     "IdealSpec",
@@ -182,6 +179,8 @@ def make_bundle(d: Diagram, invariant_strings: list[str], oracle: dict | None = 
 
 
 def emit_json(doc: dict) -> str:
+    import json
+
     return json.dumps(doc, indent=2)
 
 
@@ -223,6 +222,8 @@ def run_verify(max_n: int, trials: int, seed: int, bound: int) -> tuple[dict, bo
     """
     if not 2 <= max_n <= 8:
         raise ValueError(f"max_n must be between 2 and 8, got {max_n}")
+    from . import invariants as invariants_mod, oracle as oracle_mod
+
     names = ("diagram_oracle_agreement", "structural", "symbolic", "invariance", "independence")
     checks = {name: {"checked": 0, "failures": []} for name in names}
 
@@ -335,6 +336,8 @@ def _ideal_text(value: str) -> str:
 
 
 def _load_form(path: str, ideal: PatternIdeal) -> LinearForm:
+    import json
+
     with open(path, encoding="utf-8") as handle:
         # objects load as (key, value) tuples, so a repeated key stays visible
         raw = json.load(handle, object_pairs_hook=tuple)
@@ -343,7 +346,7 @@ def _load_form(path: str, ideal: PatternIdeal) -> LinearForm:
     values = {}
     for key, value in raw:
         parts = key.split(",")
-        if len(parts) != 2 or not all(p.strip().lstrip("-").isdecimal() for p in parts):
+        if len(parts) != 2 or not all(p.strip().removeprefix("-").isdecimal() for p in parts):
             raise ValueError(f"bad coordinate key {key!r} in form file")
         pair = Pair(int(parts[0]), int(parts[1]))
         if pair in values:
@@ -356,6 +359,8 @@ def _load_form(path: str, ideal: PatternIdeal) -> LinearForm:
 
 
 def _run(args) -> int:
+    # Each branch imports what only it uses, so that a plain `diagram` or
+    # `index` process starts without loading invariants, oracle or polyring.
     if args.command == "verify":
         report, passed = run_verify(args.max_n, args.trials, args.seed, args.bound)
         print(emit_json(report))
@@ -366,12 +371,17 @@ def _run(args) -> int:
         if args.oracle and not args.as_json:
             raise ValueError("--oracle only adds a report to the JSON; add --json")
         if args.as_json:
+            from . import invariants as invariants_mod
+            from .polyring import canonical_string
+
             strings = [
                 canonical_string(z)
                 for z in invariants_mod.build_invariants(d, check=False)
             ]
             oracle_report = None
             if args.oracle:
+                from . import oracle as oracle_mod
+
                 oracle_index, oracle_rank = oracle_mod.index_oracle(
                     ideal, args.trials, args.bound, args.seed
                 )
@@ -388,6 +398,8 @@ def _run(args) -> int:
     if args.command == "index":
         value = index_of(d)
         if args.oracle:
+            from . import oracle as oracle_mod
+
             oracle_index, oracle_rank = oracle_mod.index_oracle(
                 ideal, args.trials, args.bound, args.seed
             )
@@ -396,11 +408,16 @@ def _run(args) -> int:
         print(f"index={value}")
         return 0
     if args.command == "invariants":
+        from . import invariants as invariants_mod
+        from .polyring import canonical_string
+
         for z in invariants_mod.build_invariants(d, check=args.check):
             print(canonical_string(z))
         return 0
     if args.command == "orbit-dim":
         if args.form is not None:
+            from . import oracle as oracle_mod
+
             f = _load_form(args.form, ideal)
             rank = oracle_mod.exact_rank(oracle_mod.skew_form_matrix(f, ideal))
             print(f"rank={rank}")

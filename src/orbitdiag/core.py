@@ -28,6 +28,7 @@ __all__ = [
     "OutOfRangeError",
     "NotAnIdealError",
     "DimensionMismatchError",
+    "MissingCoordinateError",
     "ConsistencyError",
     "all_pairs",
     "succ_key",
@@ -74,6 +75,12 @@ class NotAnIdealError(ValueError):
 
 class DimensionMismatchError(ValueError):
     pass
+
+
+class MissingCoordinateError(KeyError):
+    def __init__(self, pair: Pair):
+        self.pair = pair
+        super().__init__(f"no coordinate y[{pair[0]},{pair[1]}] in the target algebra")
 
 
 class ConsistencyError(RuntimeError):

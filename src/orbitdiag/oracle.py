@@ -20,14 +20,15 @@ of the matrix with its denominators cleared.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import TYPE_CHECKING
 
 from .core import (
     DimensionMismatchError,
     LinearForm,
+    MissingCoordinateError,
     PatternIdeal,
     QuotientAlgebra,
     coadjoint_act,
@@ -35,7 +36,9 @@ from .core import (
     random_form,
     random_unipotent,
 )
-from .polyring import MissingCoordinateError, Polynomial, evaluate
+
+if TYPE_CHECKING:  # the rank oracles run without loading polyring
+    from .polyring import Polynomial
 
 __all__ = [
     "SkewMatrix",
@@ -46,8 +49,6 @@ __all__ = [
     "generic_jacobian_rank",
     "invariance_oracle",
 ]
-
-log = logging.getLogger("orbitdiag.oracle")
 
 _P = (1 << 61) - 1
 _RETRIES = 5
@@ -293,7 +294,9 @@ def generic_jacobian_rank(
         best = max(best, rank)
         if best == target:
             return best
-        log.warning(
+        import logging  # loaded only when a retry happens, off the CLI's start-up path
+
+        logging.getLogger("orbitdiag.oracle").warning(
             "jacobian rank mod p %d < %d at attempt %d (seed %d); resampling",
             rank, target, attempt, seed,
         )
@@ -308,6 +311,8 @@ def invariance_oracle(
     For each trial a random form f and group element g are drawn and every
     z is evaluated at f and at the moved form; any mismatch is a failure.
     """
+    from .polyring import evaluate
+
     algebra = QuotientAlgebra.from_ideal(ideal)
     for trial in range(trials):
         f = random_form(algebra, 100, counter_rand(seed, 0xAD, trial, 0))

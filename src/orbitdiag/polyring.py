@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 import re
 
-from .core import ConsistencyError, LinearForm, Pair, PatternIdeal, _exact, bracket, succ_key
+from .core import (
+    ConsistencyError, LinearForm, MissingCoordinateError, Pair, PatternIdeal, _exact, bracket, succ_key,
+)
 
 __all__ = [
     "Monomial",
@@ -51,12 +53,6 @@ __all__ = [
 Monomial = tuple
 
 ONE: Monomial = ()
-
-
-class MissingCoordinateError(KeyError):
-    def __init__(self, pair: Pair):
-        self.pair = pair
-        super().__init__(f"no coordinate y[{pair[0]},{pair[1]}] in the target algebra")
 
 
 class PolynomialSyntaxError(ValueError):

@@ -290,6 +290,9 @@ def test_orbit_dim_names_a_form_value_on_the_ideal(capsys, tmp_path):
         # digits that int() refuses make a bad key, not a bare int() failure
         ('{"²,1": 1}', "bad coordinate key '²,1'"),
         ('{"2,-¹": 1}', "bad coordinate key '2,-¹'"),
+        # one sign at most: a doubled one is a bad key, not an int() failure
+        ('{"--2,1": 1}', "bad coordinate key '--2,1' in form file"),
+        ('{"2,--1": 1}', "bad coordinate key '2,--1' in form file"),
     ],
 )
 def test_orbit_dim_rejects_bad_form_files(capsys, tmp_path, text, named):
@@ -383,6 +386,43 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "index=1\n"
+
+
+# Run in a fresh interpreter: the modules loaded beyond its own start-up.
+LOADED_BY = """
+import sys
+baseline = set(sys.modules)
+from orbitdiag.cli import dispatch
+code = dispatch(sys.argv[1:])
+print(code, *sorted(set(sys.modules) - baseline))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, needed, not_loaded",
+    [
+        (
+            ["diagram", "--ideal", EXAMPLE_SPEC],
+            {"orbitdiag.diagram"},
+            {"orbitdiag.invariants", "orbitdiag.oracle", "orbitdiag.polyring", "json", "logging"},
+        ),
+        (
+            ["index", "--ideal", EXAMPLE_SPEC, "--oracle"],
+            {"orbitdiag.oracle"},
+            {"orbitdiag.invariants", "orbitdiag.polyring", "json", "logging"},
+        ),
+        (["invariants", "--ideal", EXAMPLE_SPEC, "--check"], {"orbitdiag.invariants"}, {"orbitdiag.oracle"}),
+    ],
+    ids=["diagram", "index-oracle", "invariants-check"],
+)
+def test_each_command_loads_only_what_it_uses(argv, needed, not_loaded):
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED_BY, *argv], capture_output=True, text=True, check=False
+    )
+    code, *loaded = result.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert needed <= set(loaded)
+    assert not_loaded & set(loaded) == set()
 
 
 def test_optimized_interpreter_keeps_outputs_and_checks():

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,35 @@ def test_all_names_resolve(path):
     )
     assert [name for name in getattr(module, "__all__", []) if not hasattr(module, name)] == []
 
+
+# --- the package namespace loads its submodules on first use ----------------------
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from orbitdiag import *", namespace)
+    assert [name for name in orbitdiag.__all__ if name not in namespace] == []
+
+
+def test_dir_lists_every_public_name():
+    assert set(orbitdiag.__all__) <= set(dir(orbitdiag))
+
+
+def test_unknown_attribute_names_the_module():
+    with pytest.raises(AttributeError, match="module 'orbitdiag' has no attribute 'no_such_name'"):
+        orbitdiag.no_such_name
+
+
+def test_missing_coordinate_error_is_one_class():
+    from orbitdiag import core, polyring
+
+    assert orbitdiag.MissingCoordinateError is core.MissingCoordinateError is polyring.MissingCoordinateError
+
+
+def test_bare_import_loads_no_submodule():
+    code = "import sys, orbitdiag; print(*sorted(m for m in sys.modules if m.startswith('orbitdiag.')))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout == "\n"
 
 
 # Where a `Fraction` may be built: the input normaliser, the --form loader
