@@ -25,9 +25,8 @@ _EXPORTS = {
     ),
     "invariants": (
         "CentralityError", "InconsistentStateError", "NotTriangularError",
-        "RelationReport", "ThetaState", "WeylPairs", "build_invariants",
-        "initial_state", "theta_step", "triangular_decompose", "verify_centrality",
-        "verify_relations", "weyl_pairs",
+        "RelationReport", "ThetaState", "build_invariants", "initial_state",
+        "theta_step", "triangular_decompose", "verify_centrality", "verify_relations",
     ),
     "oracle": (
         "SkewMatrix", "exact_rank", "generic_jacobian_rank", "index_oracle",

@@ -249,7 +249,7 @@ def run_verify(max_n: int, trials: int, seed: int, bound: int) -> tuple[dict, bo
                     report = invariants_mod.verify_relations(state, d, i)
                     if not report.passed:
                         yield "symbolic", f"step {i}: {report.counterexample}"
-                    state = invariants_mod.theta_step(state, d, i)
+                    state = report.state
             yield "invariance", None
             if not oracle_mod.invariance_oracle(zs, ideal, trials, case_seed):
                 yield "invariance", "an invariant moved under the coadjoint action"

@@ -117,9 +117,6 @@ class PatternIdeal:
     n: int
     members: frozenset[Pair]
 
-    def __contains__(self, pair: Pair) -> bool:
-        return pair in self.members
-
     @property
     def dim_quotient(self) -> int:
         return self.n * (self.n - 1) // 2 - len(self.members)
@@ -430,6 +427,8 @@ def sample_pattern_ideals(n: int, count: int, seed: int) -> list[PatternIdeal]:
     """A deterministic pseudo-random subset of the full enumeration: the
     ideals whose positions k in it have the least counter_rand(seed, n, k).
     Only the returned ideals are built."""
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     vectors = list(_threshold_vectors(n))
     if count > len(vectors):
         raise ValueError(f"only {len(vectors)} pattern ideals exist for n={n}")

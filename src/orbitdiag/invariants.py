@@ -44,7 +44,6 @@ from .polyring import (
 
 __all__ = [
     "ThetaState",
-    "WeylPairs",
     "RelationReport",
     "InconsistentStateError",
     "NotTriangularError",
@@ -54,7 +53,6 @@ __all__ = [
     "build_invariants",
     "triangular_decompose",
     "verify_centrality",
-    "weyl_pairs",
     "verify_relations",
 ]
 
@@ -92,22 +90,10 @@ class ThetaState:
 
 
 @dataclass
-class WeylPairs:
-    """The canonically conjugate pairs split off at one step.
-
-    p[j] is the previous image of (k,j) for each minus cell, q[j] the
-    previous image of (j,t) divided by Z for each plus cell; the key sets
-    coincide (the couples share their middle index j).
-    """
-
-    step: int
-    p: dict[int, LocalizedElement]
-    q: dict[int, LocalizedElement]
-
-
-@dataclass
 class RelationReport:
-    step: int
+    """The outcome of one step's relation check; `state` is the step built."""
+
+    state: ThetaState
     checked: int
     passed: bool
     counterexample: str | None = None
@@ -232,22 +218,6 @@ def verify_centrality(z: Polynomial, ideal: PatternIdeal) -> bool:
     )
 
 
-def weyl_pairs(prev: ThetaState, d: Diagram, i: int) -> WeylPairs:
-    if prev.step != i - 1:
-        raise InconsistentStateError(f"state is at step {prev.step}, expected {i - 1}")
-    rec = d.steps[i - 1]
-    pivot = prev.images[rec.xi]
-    z_table = (*prev.z_list, pivot.num)
-    p = {pair.col: prev.images[pair] for pair in rec.minus}
-    q = {
-        pair.row: loc_divide(prev.images[pair], pivot, i, z_table)
-        for pair in rec.plus
-    }
-    if set(p) != set(q):
-        raise InconsistentStateError("minus and plus cells do not pair up by middle index")
-    return WeylPairs(i, p, q)
-
-
 def verify_relations(prev: ThetaState, d: Diagram, i: int) -> RelationReport:
     """Check every identity the step is supposed to satisfy.
 
@@ -259,14 +229,20 @@ def verify_relations(prev: ThetaState, d: Diagram, i: int) -> RelationReport:
     bracket; the first failure is reported verbatim.
     """
     state = theta_step(prev, d, i)
-    pairs = weyl_pairs(prev, d, i)
     ideal = d.ideal
     z_table = state.z_list
-    pivot = prev.images[d.steps[i - 1].xi]
+    rec = d.steps[i - 1]
+    pivot = prev.images[rec.xi]
+    # The Weyl pairs split off here: p_j is the previous image of the minus
+    # cell (k,j), q_j that of the plus cell (j,t) divided by Z.
+    p = {pair.col: prev.images[pair] for pair in rec.minus}
+    q = {pair.row: loc_divide(prev.images[pair], pivot, i, z_table) for pair in rec.plus}
+    if set(p) != set(q):
+        raise InconsistentStateError("minus and plus cells do not pair up by middle index")
     one = LocalizedElement(Polynomial.constant(1), {})
     zero = LocalizedElement(Polynomial.zero(), {})
     survivors = b_set(d, i)
-    middles = sorted(pairs.p)
+    middles = sorted(p)
 
     def identities():
         """(x, y, expected {x, y}, message on failure), in report order."""
@@ -290,24 +266,24 @@ def verify_relations(prev: ThetaState, d: Diagram, i: int) -> RelationReport:
         for a in middles:
             for b in middles:
                 expected, shown = (one, "1") if a == b else (zero, "0")
-                yield pairs.p[a], pairs.q[b], expected, f"{{p_{a}, q_{b}}} is not {shown}"
+                yield p[a], q[b], expected, f"{{p_{a}, q_{b}}} is not {shown}"
             for b in middles:
                 if b > a:
-                    yield pairs.p[a], pairs.p[b], zero, f"{{p_{a}, p_{b}}} is not 0"
-                    yield pairs.q[a], pairs.q[b], zero, f"{{q_{a}, q_{b}}} is not 0"
+                    yield p[a], p[b], zero, f"{{p_{a}, p_{b}}} is not 0"
+                    yield q[a], q[b], zero, f"{{q_{a}, q_{b}}} is not 0"
         for j in middles:
-            yield pivot, pairs.p[j], zero, f"Z does not commute with p_{j}"
-            yield pivot, pairs.q[j], zero, f"Z does not commute with q_{j}"
+            yield pivot, p[j], zero, f"Z does not commute with p_{j}"
+            yield pivot, q[j], zero, f"Z does not commute with q_{j}"
         for eta in survivors:
             image = state.images[eta]
             yield image, pivot, zero, f"image of {tuple(eta)} does not commute with Z"
             for j in middles:
-                yield image, pairs.p[j], zero, f"image of {tuple(eta)} does not commute with p_{j}"
-                yield image, pairs.q[j], zero, f"image of {tuple(eta)} does not commute with q_{j}"
+                yield image, p[j], zero, f"image of {tuple(eta)} does not commute with p_{j}"
+                yield image, q[j], zero, f"image of {tuple(eta)} does not commute with q_{j}"
 
     checked = 0
     for x, y, expected, message in identities():
         checked += 1
         if not loc_equal(loc_poisson_bracket(x, y, ideal, z_table), expected, z_table):
-            return RelationReport(i, checked, False, message)
-    return RelationReport(i, checked, True, None)
+            return RelationReport(state, checked, False, message)
+    return RelationReport(state, checked, True, None)

@@ -311,6 +311,8 @@ def invariance_oracle(
     For each trial a random form f and group element g are drawn and every
     z is evaluated at f and at the moved form; any mismatch is a failure.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     from .polyring import evaluate
 
     algebra = QuotientAlgebra.from_ideal(ideal)

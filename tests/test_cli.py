@@ -23,7 +23,13 @@ from orbitdiag.cli import (
     render_diagram,
     run_verify,
 )
-from orbitdiag.core import ConsistencyError, NotAnIdealError, Pair, validate_pattern_ideal
+from orbitdiag.core import (
+    ConsistencyError,
+    NotAnIdealError,
+    Pair,
+    enumerate_pattern_ideals,
+    validate_pattern_ideal,
+)
 from orbitdiag.diagram import Diagram, build_diagram
 from orbitdiag.invariants import CentralityError
 from orbitdiag.polyring import Polynomial, canonical_string
@@ -157,6 +163,22 @@ def test_run_verify_is_deterministic():
     first = run_verify(4, 2, 9, 40)
     second = run_verify(4, 2, 9, 40)
     assert json.dumps(first[0]) == json.dumps(second[0])
+
+
+def test_run_verify_walks_each_symbolic_ideal_twice(monkeypatch):
+    # once in build_invariants(check=True), once through the relation
+    # checks, whose reports carry each step forward
+    calls = []
+    step = invariants_mod.theta_step
+
+    def counted(*args):
+        calls.append(args[2])
+        return step(*args)
+
+    monkeypatch.setattr(invariants_mod, "theta_step", counted)
+    run_verify(5, 5, 1, 1000)
+    steps = sum(build_diagram(ideal).s for n in range(2, 6) for ideal in enumerate_pattern_ideals(n))
+    assert len(calls) == 2 * steps == 254
 
 
 def test_run_verify_flags_corrupted_invariants(monkeypatch):

@@ -361,6 +361,12 @@ def test_sampling_is_deterministic():
         sample_pattern_ideals(3, 6, 0)
 
 
+def test_sampling_refuses_a_negative_count():
+    assert sample_pattern_ideals(5, 0, 0) == []
+    with pytest.raises(ValueError, match="count"):
+        sample_pattern_ideals(5, -1, 0)
+
+
 # --- deterministic randomness ------------------------------------------------------
 
 

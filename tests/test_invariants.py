@@ -26,7 +26,6 @@ from orbitdiag.invariants import (
     CentralityError,
     InconsistentStateError,
     NotTriangularError,
-    RelationReport,
     ThetaState,
     build_invariants,
     initial_state,
@@ -34,7 +33,6 @@ from orbitdiag.invariants import (
     triangular_decompose,
     verify_centrality,
     verify_relations,
-    weyl_pairs,
 )
 from orbitdiag.polyring import (
     LocalizedElement,
@@ -364,36 +362,13 @@ def test_generator_centrality_matches_every_coordinate():
     assert verdicts == {True, False}
 
 
-# --- canonical commutation pairs --------------------------------------------------------
+# --- the commutation relations as a whole -----------------------------------------------
 
 
-def test_weyl_pair_columns_and_rows():
-    d = build_diagram(EXAMPLE7)
-    states = states_of(d)
-    middles = [[2, 3], [3, 5], [5], [6], []]
-    for i, want in enumerate(middles, 1):
-        w = weyl_pairs(states[i - 1], d, i)
-        assert w.step == i
-        assert sorted(w.p) == want
-        assert sorted(w.q) == want
-
-
-def test_weyl_pair_values_at_step_one():
-    d = build_diagram(EXAMPLE7)
-    w = weyl_pairs(initial_state(d), d, 1)
-    assert w.p[2].num == y(4, 2) and w.p[2].den == {}
-    assert w.p[3].num == y(4, 3) and w.p[3].den == {}
-    assert w.q[2].num == y(2, 1) and w.q[2].den == {1: 1}
-    assert w.q[3].num == y(3, 1) and w.q[3].den == {1: 1}
-
-
-def test_weyl_pairs_validate_state():
+def test_relations_validate_state():
     d = build_diagram(EXAMPLE7)
     with pytest.raises(InconsistentStateError):
-        weyl_pairs(initial_state(d), d, 2)
-
-
-# --- the commutation relations as a whole -----------------------------------------------
+        verify_relations(initial_state(d), d, 2)
 
 
 def test_relations_hold_for_the_example():
@@ -404,6 +379,7 @@ def test_relations_hold_for_the_example():
         report = verify_relations(states[i - 1], d, i)
         assert report.passed
         assert report.counterexample is None
+        assert report.state == states[i]
         counts.append(report.checked)
     assert counts == [136, 66, 21, 6, 0]
 
@@ -417,7 +393,9 @@ def test_relations_report_the_first_failing_identity():
     images = dict(initial_state(d).images)
     images[Pair(3, 2)] = LocalizedElement(y(3, 2) + y(2, 1), {})
     report = verify_relations(ThetaState(0, images, ()), d, 1)
-    assert report == RelationReport(1, 12, False, "image of (3, 2) does not commute with p_2")
+    assert (report.state.step, report.checked, report.passed, report.counterexample) == (
+        1, 12, False, "image of (3, 2) does not commute with p_2"
+    )
 
 
 def test_relations_hold_exhaustively_up_to_n4():

@@ -344,6 +344,12 @@ def test_index_oracle_rejects_zero_trials():
         index_oracle(UT3, 0, 10, 0)
 
 
+def test_invariance_oracle_rejects_zero_trials():
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            invariance_oracle([], UT3, trials, 1)
+
+
 def test_sampled_rank_never_exceeds_the_diagram_bound():
     for ideal in [UT4, EXAMPLE7, validate_pattern_ideal(5, [(5, 1), (4, 1)])]:
         top = max_orbit_dim(build_diagram(ideal))
