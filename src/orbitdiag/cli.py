@@ -371,13 +371,7 @@ def _run(args) -> int:
         if args.oracle and not args.as_json:
             raise ValueError("--oracle only adds a report to the JSON; add --json")
         if args.as_json:
-            from . import invariants as invariants_mod
-            from .polyring import canonical_string
-
-            strings = [
-                canonical_string(z)
-                for z in invariants_mod.build_invariants(d, check=False)
-            ]
+            # the oracle first: it refuses bad knobs before a walk that can run long
             oracle_report = None
             if args.oracle:
                 from . import oracle as oracle_mod
@@ -391,6 +385,13 @@ def _run(args) -> int:
                     "trials": args.trials,
                     "seed": args.seed,
                 }
+            from . import invariants as invariants_mod
+            from .polyring import canonical_string
+
+            strings = [
+                canonical_string(z)
+                for z in invariants_mod.build_invariants(d, check=False)
+            ]
             print(emit_json(make_bundle(d, strings, oracle_report)))
         else:
             print(render_diagram(d, args.style, steps=args.steps))

@@ -112,19 +112,17 @@ def theta_step(prev: ThetaState, d: Diagram, i: int) -> ThetaState:
         raise InconsistentStateError(f"state is at step {prev.step}, expected {i - 1}")
     if set(prev.images) != set(b_set(d, i - 1)):
         raise InconsistentStateError("image keys do not match the unfilled set")
+    classes = classify_step(d, i)  # raises StepOutOfRangeError for i > s before d.steps is read
     rec = d.steps[i - 1]
     k, t = rec.xi
     pivot = prev.images[rec.xi]
     z_table = (*prev.z_list, pivot.num)
     images: dict[Pair, LocalizedElement] = {}
-    for pair, cls in classify_step(d, i).items():
+    for pair, cls in classes.items():
         a, b = pair
         if cls == "1.1":
             correction = loc_divide(
-                loc_mul(prev.images[Pair(a, t)], prev.images[Pair(k, b)]),
-                pivot,
-                i,
-                z_table,
+                loc_mul(prev.images[Pair(a, t)], prev.images[Pair(k, b)]), pivot, z_table
             )
             images[pair] = loc_sub(prev.images[pair], correction, z_table)
         elif cls == "3":
@@ -142,7 +140,7 @@ def theta_step(prev: ThetaState, d: Diagram, i: int) -> ThetaState:
                 total = loc_add(
                     total, loc_mul(prev.images[aj], prev.images[Pair(j, t)]), z_table
                 )
-            images[pair] = loc_divide(total, pivot, i, z_table)
+            images[pair] = loc_divide(total, pivot, z_table)
         else:
             images[pair] = prev.images[pair]
     return ThetaState(i, images, z_table)
@@ -236,7 +234,7 @@ def verify_relations(prev: ThetaState, d: Diagram, i: int) -> RelationReport:
     # The Weyl pairs split off here: p_j is the previous image of the minus
     # cell (k,j), q_j that of the plus cell (j,t) divided by Z.
     p = {pair.col: prev.images[pair] for pair in rec.minus}
-    q = {pair.row: loc_divide(prev.images[pair], pivot, i, z_table) for pair in rec.plus}
+    q = {pair.row: loc_divide(prev.images[pair], pivot, z_table) for pair in rec.plus}
     if set(p) != set(q):
         raise InconsistentStateError("minus and plus cells do not pair up by middle index")
     one = LocalizedElement(Polynomial.constant(1), {})

@@ -3,14 +3,14 @@
 Variables are lower-triangular positions outside the ideal; a monomial is
 stored as a tuple of ((row,col), exponent) entries sorted by (row, col),
 and a polynomial as a dict mapping monomials to nonzero ints, or Fractions
-where not integral; only the parser and loc_evaluate's division build
-Fractions, so integer input stays integer.  On top of the plain ring sit:
+where not integral; only the parser builds Fractions, so integer input
+stays integer.  On top of the plain ring sit:
 
   * the Poisson bracket induced by the structure constants (images inside
     the ideal drop to zero),
   * localized elements numerator / prod z_j^{e_j} whose denominators are
     formal products of the invariants built so far — arithmetic takes
-    common denominators by exponent max and never cancels,
+    common denominators by multiset union and never cancels,
   * a deterministic text form ("2*y[3,1]*y[4,2]^2 - y[2,1]") and a parser
     for it.
 """
@@ -18,6 +18,7 @@ Fractions, so integer input stays integer.  On top of the plain ring sit:
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 import re
@@ -44,7 +45,6 @@ __all__ = [
     "loc_divide",
     "loc_scale",
     "loc_equal",
-    "loc_evaluate",
     "loc_poisson_bracket",
 ]
 
@@ -361,16 +361,19 @@ def parse_polynomial(text: str) -> Polynomial:
 class LocalizedElement:
     """numerator / prod z_j^{e_j}; the z's are supplied separately as a table.
 
-    Exponent maps are kept as written — arithmetic never cancels common
+    The exponents are a Counter {j: e_j} copied from any map, zeros dropped
+    and a negative exponent refused.  Arithmetic never cancels common
     factors, so equality of representations is only sufficient, and
     loc_equal (cross multiplication) is the semantic test.
     """
 
     num: Polynomial
-    den: dict = field(default_factory=dict)
+    den: Counter = field(default_factory=Counter)
 
     def __post_init__(self):
-        self.den = {j: e for j, e in self.den.items() if e}
+        if min(self.den.values(), default=0) < 0:
+            raise ValueError(f"negative exponent in the denominator {dict(self.den)}")
+        self.den = Counter({j: e for j, e in self.den.items() if e})
 
 
 def expand_denominator(den: dict, z_table) -> Polynomial:
@@ -381,18 +384,10 @@ def expand_denominator(den: dict, z_table) -> Polynomial:
     return result
 
 
-def _den_max(a: dict, b: dict) -> dict:
-    return {j: max(a.get(j, 0), b.get(j, 0)) for j in set(a) | set(b)}
-
-
-def _den_diff(total: dict, part: dict) -> dict:
-    return {j: total[j] - part.get(j, 0) for j in total if total[j] - part.get(j, 0)}
-
-
 def loc_add(a: LocalizedElement, b: LocalizedElement, z_table) -> LocalizedElement:
-    den = _den_max(a.den, b.den)
-    num = a.num * expand_denominator(_den_diff(den, a.den), z_table) + b.num * expand_denominator(
-        _den_diff(den, b.den), z_table
+    den = a.den | b.den
+    num = a.num * expand_denominator(den - a.den, z_table) + b.num * expand_denominator(
+        den - b.den, z_table
     )
     return LocalizedElement(num, den)
 
@@ -402,41 +397,29 @@ def loc_sub(a: LocalizedElement, b: LocalizedElement, z_table) -> LocalizedEleme
 
 
 def loc_mul(a: LocalizedElement, b: LocalizedElement) -> LocalizedElement:
-    den = dict(a.den)
-    for j, e in b.den.items():
-        den[j] = den.get(j, 0) + e
-    return LocalizedElement(a.num * b.num, den)
+    return LocalizedElement(a.num * b.num, a.den + b.den)
 
 
 def loc_scale(a: LocalizedElement, c) -> LocalizedElement:
-    return LocalizedElement(a.num * c, dict(a.den))
+    return LocalizedElement(a.num * c, a.den)
 
 
-def loc_divide(a: LocalizedElement, z: LocalizedElement, index: int, z_table) -> LocalizedElement:
-    """Divide by the step pivot whose bare numerator defines z_table[index-1].
+def loc_divide(a: LocalizedElement, pivot: LocalizedElement, z_table) -> LocalizedElement:
+    """Divide by the step pivot, whose bare numerator is the table's newest z.
 
-    (u / D) / (z_index / D_z)  =  u * D_z / (D * z_index): the numerator
-    picks up the pivot's own formal denominator, expanded, and the z_index
-    exponent grows by one.
+    With z_table ending in z_m:  (u / D) / (z_m / D_z)  =  u * D_z / (D * z_m):
+    the numerator picks up the pivot's own formal denominator, expanded,
+    and the z_m exponent grows by one.
     """
-    if z.num != z_table[index - 1]:
+    index = len(z_table)
+    if pivot.num != z_table[-1]:
         raise ConsistencyError(f"the pivot is not z_{index} of the table")
-    num = a.num * expand_denominator(z.den, z_table)
-    den = dict(a.den)
-    den[index] = den.get(index, 0) + 1
-    return LocalizedElement(num, den)
+    return LocalizedElement(a.num * expand_denominator(pivot.den, z_table), a.den + Counter({index: 1}))
 
 
 def loc_equal(a: LocalizedElement, b: LocalizedElement, z_table) -> bool:
     """Semantic equality by cross multiplication (no cancellation needed)."""
     return a.num * expand_denominator(b.den, z_table) == b.num * expand_denominator(a.den, z_table)
-
-
-def loc_evaluate(a: LocalizedElement, f: LinearForm, z_table) -> Fraction:
-    bottom = evaluate(expand_denominator(a.den, z_table), f)
-    if bottom == 0:
-        raise ZeroDivisionError("denominator vanishes at the given form")
-    return Fraction(evaluate(a.num, f), bottom)
 
 
 def loc_poisson_bracket(
@@ -455,8 +438,4 @@ def loc_poisson_bracket(
         - poisson_bracket(v, w, ideal) * u * x
         + poisson_bracket(v, x, ideal) * u * w
     )
-    den: dict = {}
-    for src in (a.den, b.den):
-        for j, e in src.items():
-            den[j] = den.get(j, 0) + 2 * e
-    return LocalizedElement(num, den)
+    return LocalizedElement(num, a.den + a.den + b.den + b.den)

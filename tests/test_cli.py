@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -261,6 +262,14 @@ def test_diagram_oracle_needs_json(capsys):
     assert captured.err.startswith("error:") and "--json" in captured.err
 
 
+def test_diagram_oracle_refuses_bad_knobs_before_the_walk(capsys, monkeypatch):
+    walked = []
+    monkeypatch.setattr(invariants_mod, "build_invariants", lambda d, check=False: walked.append(d))
+    assert dispatch(["diagram", "--ideal", "4:", "--json", "--oracle", "--trials", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert walked == []
+
+
 def test_diagram_json(capsys):
     assert dispatch(["diagram", "--ideal", EXAMPLE_SPEC, "--json", "--oracle",
                      "--trials", "3", "--seed", "1"]) == 0
@@ -462,7 +471,7 @@ def test_optimized_interpreter_keeps_outputs_and_checks():
         "from orbitdiag.polyring import LocalizedElement, Polynomial, loc_divide\n"
         "y21, y31 = (LocalizedElement(Polynomial.variable(Pair(r, 1))) for r in (2, 3))\n"
         "try:\n"
-        "    loc_divide(y31, y21, 1, (y31.num,))\n"
+        "    loc_divide(y31, y21, (y31.num,))\n"
         "except ConsistencyError:\n"
         "    print('raised')\n"
     )
@@ -471,3 +480,32 @@ def test_optimized_interpreter_keeps_outputs_and_checks():
     )
     assert result.returncode == 0
     assert result.stdout == "raised\n"
+
+
+# --- README examples ---------------------------------------------------------------
+
+
+README_BLOCKS = re.findall(
+    r"^```(\w*)\n(.*?)^```$",
+    (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8"),
+    re.M | re.S,
+)
+README_COMMANDS = [body for lang, body in README_BLOCKS if body.startswith("$ orbitdiag ")]
+
+
+def test_readme_shows_three_commands_and_one_library_snippet():
+    assert len(README_COMMANDS) == 3
+    assert [lang for lang, _ in README_BLOCKS].count("python") == 1
+
+
+@pytest.mark.parametrize("block", README_COMMANDS, ids=lambda block: block.split()[2])
+def test_readme_command_prints_what_readme_shows(block, capsys):
+    command, _, shown = block.partition("\n")
+    assert dispatch(shlex.split(command)[2:]) == 0
+    assert capsys.readouterr().out == shown
+
+
+def test_readme_library_snippet_runs(capsys):
+    (code,) = [body for lang, body in README_BLOCKS if lang == "python"]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("['y[4,1]', ")

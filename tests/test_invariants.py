@@ -21,7 +21,7 @@ from orbitdiag.core import (
     random_unipotent,
     validate_pattern_ideal,
 )
-from orbitdiag.diagram import b_set, build_diagram
+from orbitdiag.diagram import StepOutOfRangeError, b_set, build_diagram
 from orbitdiag.invariants import (
     CentralityError,
     InconsistentStateError,
@@ -153,6 +153,15 @@ def test_final_state_is_empty():
     assert last.step == d.s
     assert last.images == {}
     assert len(last.z_list) == d.s
+
+
+def test_steps_past_the_last_are_out_of_range():
+    d = build_diagram(EXAMPLE7)
+    last = states_of(d)[-1]
+    with pytest.raises(StepOutOfRangeError):
+        theta_step(last, d, d.s + 1)
+    with pytest.raises(StepOutOfRangeError):
+        verify_relations(last, d, d.s + 1)
 
 
 def test_theta_step_validates_its_input():

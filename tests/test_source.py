@@ -63,10 +63,9 @@ def test_bare_import_loads_no_submodule():
     assert result.stdout == "\n"
 
 
-# Where a `Fraction` may be built: the input normaliser, the --form loader
-# and the one division whose quotient need not be integral.  Everywhere
-# else integer input must stay integer.
-FRACTION_SITES = {("core", "_exact"), ("cli", "_load_form"), ("polyring", "loc_evaluate")}
+# Where a `Fraction` may be built: the input normaliser and the --form
+# loader.  Everywhere else integer input must stay integer.
+FRACTION_SITES = {("core", "_exact"), ("cli", "_load_form")}
 
 
 def _fraction_calls(node, owner=None):
