@@ -79,7 +79,7 @@ def parse_ideal_spec(text: str) -> IdealSpec:
     if colon < 0:
         raise IdealSyntaxError("expected ':' after the matrix size", len(text))
     head = text[:colon].strip()
-    if not head.isdecimal():
+    if not head.isdecimal() or int(head) < 1:
         raise IdealSyntaxError("matrix size must be a positive integer", 0)
     pairs = []
     offset = colon + 1

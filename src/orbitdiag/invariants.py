@@ -223,12 +223,17 @@ def verify_relations(prev: ThetaState, d: Diagram, i: int) -> RelationReport:
     (b) the split-off pairs are canonical ({p_a,q_b} = delta, {p,p} = {q,q} = 0),
     (c) the three factors commute with one another: Z and the Weyl pairs,
         Z and the new images, Weyl pairs and the new images.
-    Everything is compared by cross multiplication after the quotient-rule
-    bracket; the first failure is reported verbatim.
+    Every z of the table is first shown central, which is what lets the
+    bracket of u/v and w/x be {u, w}/(v*x); a z that is not fails the step
+    before any identity is counted.  Everything is then compared by cross
+    multiplication; the first failure is reported verbatim.
     """
     state = theta_step(prev, d, i)
     ideal = d.ideal
     z_table = state.z_list
+    for j, z in enumerate(z_table, start=1):
+        if not verify_centrality(z, ideal):
+            return RelationReport(state, 0, False, f"z_{j} does not commute with every coordinate")
     rec = d.steps[i - 1]
     pivot = prev.images[rec.xi]
     # The Weyl pairs split off here: p_j is the previous image of the minus
@@ -282,6 +287,6 @@ def verify_relations(prev: ThetaState, d: Diagram, i: int) -> RelationReport:
     checked = 0
     for x, y, expected, message in identities():
         checked += 1
-        if not loc_equal(loc_poisson_bracket(x, y, ideal, z_table), expected, z_table):
+        if not loc_equal(loc_poisson_bracket(x, y, ideal), expected, z_table):
             return RelationReport(state, checked, False, message)
     return RelationReport(state, checked, True, None)

@@ -412,7 +412,7 @@ def loc_divide(a: LocalizedElement, pivot: LocalizedElement, z_table) -> Localiz
     and the z_m exponent grows by one.
     """
     index = len(z_table)
-    if pivot.num != z_table[-1]:
+    if not z_table or pivot.num != z_table[-1]:
         raise ConsistencyError(f"the pivot is not z_{index} of the table")
     return LocalizedElement(a.num * expand_denominator(pivot.den, z_table), a.den + Counter({index: 1}))
 
@@ -422,20 +422,10 @@ def loc_equal(a: LocalizedElement, b: LocalizedElement, z_table) -> bool:
     return a.num * expand_denominator(b.den, z_table) == b.num * expand_denominator(a.den, z_table)
 
 
-def loc_poisson_bracket(
-    a: LocalizedElement, b: LocalizedElement, ideal: PatternIdeal, z_table
-) -> LocalizedElement:
-    """Bracket of u/v and w/x by the quotient rule, denominators kept formal:
+def loc_poisson_bracket(a: LocalizedElement, b: LocalizedElement, ideal: PatternIdeal) -> LocalizedElement:
+    """{u/v, w/x} = {u, w} / (v*x), denominators kept formal.
 
-    {u/v, w/x} = ({u,w}vx - {u,x}vw - {v,w}ux + {v,x}uw) / (v^2 x^2).
+    Precondition: every z in either denominator is central (verify_relations
+    certifies it first), so the quotient rule's other three terms vanish.
     """
-    u, w = a.num, b.num
-    v = expand_denominator(a.den, z_table)
-    x = expand_denominator(b.den, z_table)
-    num = (
-        poisson_bracket(u, w, ideal) * v * x
-        - poisson_bracket(u, x, ideal) * v * w
-        - poisson_bracket(v, w, ideal) * u * x
-        + poisson_bracket(v, x, ideal) * u * w
-    )
-    return LocalizedElement(num, a.den + a.den + b.den + b.den)
+    return LocalizedElement(poisson_bracket(a.num, b.num, ideal), a.den + b.den)

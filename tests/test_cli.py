@@ -58,6 +58,7 @@ def test_parse_ideal_spec_errors():
     cases = [
         ("no colon", 8),
         ("x: 2,1", 0),
+        ("0:", 0),
         ("3: 2", 3),
         ("3: a,b", 3),
         ("3: 2,1; x", 8),
@@ -346,6 +347,10 @@ def test_bad_input_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert dispatch(["index", "--ideal", "gibberish"]) == 2
     assert dispatch(["diagram", "--ideal", "0:"]) == 2  # size out of range
+    capsys.readouterr()
+    # the parser refuses the size itself, so the message carries a position
+    assert dispatch(["index", "--ideal", "0:"]) == 2
+    assert capsys.readouterr().err.rstrip("\n").endswith("(at position 0)")
 
 
 def test_argparse_failures_exit_2(capsys):

@@ -39,6 +39,7 @@ from orbitdiag.polyring import (
     Polynomial,
     canonical_string,
     evaluate,
+    loc_add,
     parse_polynomial,
     poisson_bracket,
 )
@@ -405,6 +406,33 @@ def test_relations_report_the_first_failing_identity():
     assert (report.state.step, report.checked, report.passed, report.counterexample) == (
         1, 12, False, "image of (3, 2) does not commute with p_2"
     )
+
+
+def test_relations_refuse_a_pivot_that_is_not_central():
+    # "4: 4,1" after step 1, with y[4,3]^2 added to the image of the step-2 pivot (4,2):
+    # z_2 = y[4,3]^2 + y[4,2] does not commute with y[3,2], so the bracket's premise
+    # fails and the step is refused before any identity is counted.
+    d = build_diagram(validate_pattern_ideal(4, [(4, 1)]))
+    prev = states_of(d)[1]
+    images = dict(prev.images)
+    images[Pair(4, 2)] = loc_add(images[Pair(4, 2)], LocalizedElement(y(4, 3) ** 2), prev.z_list)
+    report = verify_relations(ThetaState(1, images, prev.z_list), d, 2)
+    assert canonical_string(report.state.z_list[1]) == "y[4,3]^2 + y[4,2]"
+    assert (report.checked, report.passed, report.counterexample) == (
+        0, False, "z_2 does not commute with every coordinate"
+    )
+
+
+def test_relations_hold_for_the_full_ut9():
+    d = build_diagram(validate_pattern_ideal(9, []))
+    state = initial_state(d)
+    counts = []
+    for i in range(1, d.s + 1):
+        report = verify_relations(state, d, i)
+        assert report.passed, (i, report.counterexample)
+        counts.append(report.checked)
+        state = report.state
+    assert counts == [630, 210, 45, 3]
 
 
 def test_relations_hold_exhaustively_up_to_n4():

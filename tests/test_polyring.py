@@ -390,6 +390,9 @@ def test_loc_divide_tracks_the_table():
     assert q.den == {1: 2}
     with pytest.raises(ConsistencyError):
         loc_divide(plain(y(2, 1)), plain(y(3, 1)), table)
+    # no z to divide by: the same error, not an IndexError from z_table[-1]
+    with pytest.raises(ConsistencyError):
+        loc_divide(plain(y(2, 1)), plain(y(3, 1)), ())
 
 
 def test_loc_weyl_pair_bracket():
@@ -397,12 +400,12 @@ def test_loc_weyl_pair_bracket():
     table = (y(3, 1),)
     p = plain(y(3, 2))
     q = loc_divide(plain(y(2, 1)), plain(y(3, 1)), table)
-    result = loc_poisson_bracket(p, q, UT3, table)
+    result = loc_poisson_bracket(p, q, UT3)
     assert loc_equal(result, plain(Polynomial.constant(1)), table)
     # and z is central: {z, p} = {z, q} = 0
     z = plain(y(3, 1))
-    assert loc_equal(loc_poisson_bracket(z, p, UT3, table), plain(Polynomial.zero()), table)
-    assert loc_equal(loc_poisson_bracket(z, q, UT3, table), plain(Polynomial.zero()), table)
+    assert loc_equal(loc_poisson_bracket(z, p, UT3), plain(Polynomial.zero()), table)
+    assert loc_equal(loc_poisson_bracket(z, q, UT3), plain(Polynomial.zero()), table)
 
 
 @given(polynomials(), polynomials(), st.dictionaries(st.integers(1, 2), st.integers(0, 2)),
