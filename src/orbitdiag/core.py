@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from math import lcm
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -200,11 +202,15 @@ def bracket(a: Pair, b: Pair, ideal: PatternIdeal) -> SignedTerm:
     return SignedTerm(sign, result)
 
 
-def _exact(value) -> int | Fraction:
-    """Input boundary: anything `Fraction` accepts, stored as an int when integral."""
-    if type(value) is int:
-        return value
-    value = Fraction(value)
+def _exact(value, den: int = 1) -> int | Fraction:
+    """Input boundary: anything `Fraction` accepts, divided by den, stored as
+    an int when integral."""
+    if den == 1:
+        if type(value) is int:
+            return value
+        value = Fraction(value)
+    else:
+        value = Fraction(value, den)
     return value.numerator if value.denominator == 1 else value
 
 
@@ -282,8 +288,8 @@ class UnipotentElement:
 
 
 def _mat_mul(a, b):
-    """a * b, adding only the products of two nonzero entries: for unit
-    lower-triangular a and strictly upper-triangular b most are zero."""
+    """a * b, adding only the products of two nonzero entries: about half of
+    a triangular factor's entries are zero."""
     n = len(a)
     product = []
     for a_row in a:
@@ -314,23 +320,39 @@ def coadjoint_act(g: UnipotentElement, f: LinearForm, ideal: PatternIdeal) -> Li
     """Move a linear form by the group element, exactly.
 
     Under the trace pairing the form becomes the upper-triangular matrix b
-    with b[col, row] = f(y[row, col]); the action takes g b g^-1 (one product
-    and one triangular solve) and projects back onto the strictly upper part.
-    Positions of M must come back zero (the annihilator of an ideal is
-    stable); otherwise ConsistencyError is raised, never a silent drop.
+    with b[col, row] = f(y[row, col]); the action takes g b g^-1 and projects
+    back onto the strictly upper part.  The action is linear in the form, so
+    b is scaled by the least common denominator of the form's values to an
+    integer matrix, and each value read back is divided by it once.  Only the
+    strictly upper triangle is formed: row c of g b needs b's rows up to c,
+    and row c of the solve X g = g b, taken from the right, needs X[c][k] for
+    k > j alone.  Positions of M must come back zero (the annihilator of an
+    ideal is stable); otherwise ConsistencyError is raised, never a silent drop.
     """
     n = ideal.n
     if g.n != n or f.algebra.ideal != ideal:
         raise DimensionMismatchError("group element, form and ideal must share the same size")
-    b = [[0] * n for _ in range(n)]
+    den = lcm(*(value.denominator for _, value in f.values))
+    b_cols = [[0] * j for j in range(n)]  # b_cols[j][k] = den * b[k][j], for k < j
     for pair, value in f.values:
-        b[pair.col - 1][pair.row - 1] = value
-    moved = _solve_right(_mat_mul(g.entries, b), g.entries)
+        b_cols[pair.row - 1][pair.col - 1] = value.numerator * (den // value.denominator)
+    g_rows = g.entries
+    below = [[(k, g_rows[k][j]) for k in range(j + 1, n) if g_rows[k][j]] for j in range(n)]
+    moved = []
+    for c in range(n - 1):
+        head = g_rows[c][:c + 1]
+        x = [0] * n  # row c of den * g b g^-1, formed right of the diagonal only
+        for j in range(n - 1, c, -1):
+            entry = sum(map(mul, head, b_cols[j]))
+            for k, g_kj in below[j]:
+                entry -= x[k] * g_kj
+            x[j] = entry
+        moved.append(x)
     for pair in ideal.members:
         if moved[pair.col - 1][pair.row - 1] != 0:
             raise ConsistencyError(f"coadjoint action left the annihilator of the ideal at {tuple(pair)}")
     values = ((pair, moved[pair.col - 1][pair.row - 1]) for pair in f.algebra.basis)
-    return LinearForm(f.algebra, tuple(sorted((pair, _exact(x)) for pair, x in values if x)))
+    return LinearForm(f.algebra, tuple(sorted((pair, _exact(x, den)) for pair, x in values if x)))
 
 
 # --- deterministic pseudo-randomness -------------------------------------

@@ -418,7 +418,13 @@ def loc_divide(a: LocalizedElement, pivot: LocalizedElement, z_table) -> Localiz
 
 
 def loc_equal(a: LocalizedElement, b: LocalizedElement, z_table) -> bool:
-    """Semantic equality by cross multiplication (no cancellation needed)."""
+    """Semantic equality by cross multiplication (no cancellation needed).
+
+    A denominator is a product of nonzero z's, so a side with a zero
+    numerator equals the other exactly when that numerator is zero too.
+    """
+    if a.num.is_zero() or b.num.is_zero():
+        return a.num.is_zero() and b.num.is_zero()
     return a.num * expand_denominator(b.den, z_table) == b.num * expand_denominator(a.den, z_table)
 
 

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitdiag.core import (
@@ -18,6 +18,7 @@ from orbitdiag.core import (
     UnipotentElement,
     ZERO_TERM,
     _mat_mul,
+    _solve_right,
     all_pairs,
     bracket,
     coadjoint_act,
@@ -218,8 +219,8 @@ SCALARS = st.one_of(st.integers(-5, 5), st.builds(Fraction, st.integers(-5, 5), 
 
 @given(st.data())
 def test_mat_mul_equals_the_triple_sum_on_triangular_factors(data):
-    # unit lower-triangular times strictly upper-triangular, the shape of g * b
-    # in the coadjoint action; some rows of each strict part are all zero
+    # triangular factors with zero entries, as `UnipotentElement.__mul__`
+    # multiplies them; some rows of each strict part are all zero
     n = data.draw(st.integers(1, 7))
     zero_rows = data.draw(st.sets(st.integers(0, n - 1)))
 
@@ -283,6 +284,48 @@ def test_coadjoint_round_trip_with_rational_group_and_form():
         moved = coadjoint_act(g.inverse(), f, ideal)
         assert moved != f
         assert coadjoint_act(g, moved, ideal) == f
+
+
+def dense_move(g, f):
+    """The move by the whole product g b and the whole solve, read on b's strict
+    upper triangle: the nonzero values by position, ideal positions included."""
+    n = g.n
+    b = [[0] * n for _ in range(n)]
+    for pair, value in f.values:
+        b[pair.col - 1][pair.row - 1] = value
+    moved = _solve_right(_mat_mul(g.entries, b), g.entries)
+    values = {pair: moved[pair.col - 1][pair.row - 1] for pair in all_pairs(n)}
+    return {pair: value for pair, value in values.items() if value}
+
+
+def drawn_ideal(data):
+    n = data.draw(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, 20)), label="n")
+    if n <= 5:
+        return data.draw(st.sampled_from(list(enumerate_pattern_ideals(n))), label="ideal")
+    if n <= 8:
+        return sample_pattern_ideals(n, 1, data.draw(st.integers(0, 2**32), label="ideal seed"))[0]
+    return validate_pattern_ideal(n, [])
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_coadjoint_equals_the_dense_move(data):
+    ideal = drawn_ideal(data)
+    algebra = QuotientAlgebra.from_ideal(ideal)
+    rational_form = data.draw(st.booleans(), label="rational form")
+    scalars = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)) if rational_form else st.integers(-50, 50)
+    values = data.draw(st.lists(scalars, min_size=algebra.dim, max_size=algebra.dim), label="values")
+    f = LinearForm.from_dict(algebra, dict(zip(algebra.basis, values)))
+    seed = data.draw(st.integers(0, 2**32), label="group seed")
+    rational_group = data.draw(st.booleans(), label="rational group")
+    g = rational_unipotent(ideal.n, seed) if rational_group else random_unipotent(ideal.n, 3, seed)
+
+    moved = coadjoint_act(g, f, ideal).lookup
+    assert moved == dense_move(g, f)
+    # an int where the value is integral, a Fraction where it is not
+    assert all((type(value) is Fraction) == (value.denominator != 1) for value in moved.values())
+    if not (rational_form or rational_group):
+        assert all(type(value) is int for value in moved.values())
 
 
 def test_coadjoint_rejects_a_form_built_with_a_value_on_the_ideal():

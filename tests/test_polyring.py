@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orbitdiag import polyring
 from orbitdiag.core import (
     ConsistencyError,
     LinearForm,
@@ -381,6 +382,49 @@ def test_loc_equal_is_semantic():
     b = LocalizedElement(y(2, 1), {1: 1})
     assert loc_equal(a, b, table)
     assert not loc_equal(a, plain(y(2, 1)), table)
+
+
+def cross_multiplied(a, b, table):
+    return a.num * expand_denominator(b.den, table) == b.num * expand_denominator(a.den, table)
+
+
+LOC_TABLE = (y(4, 1), y(3, 2))
+ZERO_OVER_Z1 = LocalizedElement(Polynomial.zero(), {1: 2})
+LOC_EQUAL_CASES = [
+    # the identities above, nonzero on both sides
+    (LocalizedElement(y(4, 1) * y(3, 2), {1: 1}), plain(y(3, 2))),
+    (LocalizedElement(y(2, 1) * y(3, 2), {1: 1, 2: 1}), LocalizedElement(y(2, 1), {1: 1})),
+    (LocalizedElement(y(2, 1) * y(3, 2), {1: 1, 2: 1}), plain(y(2, 1))),
+    (plain(Polynomial.constant(1)), plain(Polynomial.constant(1))),
+    # a zero numerator on one side or both, as relation identities end
+    (ZERO_OVER_Z1, plain(Polynomial.zero())),
+    (ZERO_OVER_Z1, LocalizedElement(Polynomial.zero(), {1: 1, 2: 3})),
+    (ZERO_OVER_Z1, LocalizedElement(y(2, 1), {2: 1})),
+    (plain(y(3, 1) - y(3, 1)), plain(Polynomial.constant(1))),
+]
+
+
+@pytest.mark.parametrize("a, b", LOC_EQUAL_CASES)
+def test_loc_equal_agrees_with_cross_multiplication(a, b):
+    assert loc_equal(a, b, LOC_TABLE) == cross_multiplied(a, b, LOC_TABLE)
+    assert loc_equal(b, a, LOC_TABLE) == cross_multiplied(b, a, LOC_TABLE)
+
+
+@given(polynomials(), polynomials(), st.dictionaries(st.integers(1, 2), st.integers(0, 2)),
+       st.dictionaries(st.integers(1, 2), st.integers(0, 2)))
+def test_loc_equal_agrees_with_cross_multiplication_when_drawn(pa, pb, da, db):
+    a, b = LocalizedElement(pa, da), LocalizedElement(pb, db)
+    assert loc_equal(a, b, LOC_TABLE) == cross_multiplied(a, b, LOC_TABLE)
+
+
+def test_loc_equal_expands_no_denominator_when_a_side_is_zero(monkeypatch):
+    def refuse(den, z_table):
+        raise AssertionError("expand_denominator called")
+
+    monkeypatch.setattr(polyring, "expand_denominator", refuse)
+    assert loc_equal(ZERO_OVER_Z1, plain(Polynomial.zero()), LOC_TABLE)
+    assert not loc_equal(ZERO_OVER_Z1, LocalizedElement(y(2, 1), {2: 1}), LOC_TABLE)
+    assert not loc_equal(plain(y(3, 1)), ZERO_OVER_Z1, LOC_TABLE)
 
 
 def test_loc_divide_tracks_the_table():
