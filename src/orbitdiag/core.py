@@ -428,15 +428,18 @@ def _threshold_vectors(n: int) -> Iterator[tuple[int, ...]]:
     if not 1 <= n <= 8:
         raise ValueError(f"enumeration supported for 1 <= n <= 8, got {n}")
 
-    def extend(prefix: tuple[int, ...], col: int) -> Iterator[tuple[int, ...]]:
+    # depth first from an explicit stack; a prefix of length col - 1 takes
+    # each threshold r for column col from n + 1 down to its floor
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        col = len(prefix) + 1
         if col == n:
             yield prefix
-            return
+            continue
         lo = max(col + 1, prefix[-1] if prefix else 2)
-        for r in range(n + 1, lo - 1, -1):
-            yield from extend(prefix + (r,), col + 1)
-
-    yield from extend((), 1)
+        for r in range(lo, n + 2):
+            stack.append(prefix + (r,))
 
 
 def enumerate_pattern_ideals(n: int) -> Iterator[PatternIdeal]:

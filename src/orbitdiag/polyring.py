@@ -76,6 +76,33 @@ def monomial_mul(u: Monomial, v: Monomial) -> Monomial:
     return u
 
 
+def _largest_exponents(terms) -> dict:
+    top: dict = {}
+    for m in terms:
+        for pair, e in m:
+            if e > top.get(pair, 0):
+                top[pair] = e
+    return top
+
+
+def _packing_shifts(a, b) -> dict:
+    """Bit offset per variable of a or b; a field holds the sum of the two
+    operands' largest exponents there, so no product overflows it."""
+    top_a, top_b = _largest_exponents(a), _largest_exponents(b)
+    shift, offset = {}, 0
+    for pair in top_a.keys() | top_b.keys():
+        shift[pair] = offset
+        offset += (top_a.get(pair, 0) + top_b.get(pair, 0)).bit_length()
+    return shift
+
+
+def _pack(u: Monomial, shift: dict) -> int:
+    packed = 0
+    for pair, e in u:
+        packed += e << shift[pair]
+    return packed
+
+
 def monomial_degree(u: Monomial) -> int:
     return sum(e for _, e in u)
 
@@ -150,12 +177,32 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             return Polynomial({m: c * other for m, c in self.terms.items()})
-        total: dict = {}
-        for mu, cu in self.terms.items():
-            for mv, cv in other.terms.items():
-                m = monomial_mul(mu, mv)
-                total[m] = total.get(m, 0) + cu * cv
-        return Polynomial(total)
+        a, b = self.terms, other.terms
+        if len(a) < 2 or len(b) < 2:
+            total: dict = {}
+            for mu, cu in a.items():
+                for mv, cv in b.items():
+                    m = monomial_mul(mu, mv)
+                    total[m] = total.get(m, 0) + cu * cv
+            return Polynomial(total)
+        # Packed exponents: one bit field per variable, as wide as the largest
+        # exponent the product can reach there, so a monomial product is one
+        # integer addition and keys collide only for equal monomials.  Each
+        # distinct result monomial is built once, from its first (mu, mv).
+        shift = _packing_shifts(a, b)
+        packed_b = [(_pack(mv, shift), cv, mv) for mv, cv in b.items()]
+        total = {}
+        first = {}
+        for mu, cu in a.items():
+            pu = _pack(mu, shift)
+            for pv, cv, mv in packed_b:
+                key = pu + pv
+                if key in total:
+                    total[key] += cu * cv
+                else:
+                    total[key] = cu * cv
+                    first[key] = mu, mv
+        return Polynomial({monomial_mul(*first[key]): c for key, c in total.items() if c})
 
     __rmul__ = __mul__
 

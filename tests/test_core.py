@@ -1,5 +1,6 @@
 """Pairs, the column-major order, ideals, brackets, and the group action."""
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -374,6 +375,18 @@ def test_enumeration_starts_empty_and_validates():
         assert ideals[0].members == frozenset()
         for ideal in ideals:
             validate_pattern_ideal(n, ideal.members)
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    # a recursive closure would be a function-cell cycle per call, left for
+    # the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(enumerate_pattern_ideals(6))) == 132
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _closed(subset, n):

@@ -15,6 +15,7 @@ from orbitdiag.core import (
     Pair,
     QuotientAlgebra,
     all_pairs,
+    bracket,
     coadjoint_act,
     enumerate_pattern_ideals,
     random_form,
@@ -306,16 +307,37 @@ def test_centrality_brackets_once_per_generator_outside_the_ideal(monkeypatch):
     seen = []
 
     def recording_bracket(a, b, ideal):
-        seen.append(tuple(*b.variables()))
-        return poisson_bracket(a, b, ideal)
+        seen.append(tuple(b))
+        return bracket(a, b, ideal)
 
-    monkeypatch.setattr(invariants_mod, "poisson_bracket", recording_bracket)
+    def consulted():
+        generators = list(dict.fromkeys(seen))
+        seen.clear()
+        return generators
+
+    monkeypatch.setattr(invariants_mod, "bracket", recording_bracket)
     assert verify_centrality(y(10, 1), validate_pattern_ideal(10, []))
-    assert seen == [(i + 1, i) for i in range(1, 10)]
-    seen.clear()
+    assert consulted() == [(i + 1, i) for i in range(1, 10)]
     # (2,1) lies in this ideal, so only y[3,2] and y[4,3] are bracketed
     assert verify_centrality(y(4, 2), validate_pattern_ideal(4, [(2, 1), (3, 1), (4, 1)]))
-    assert seen == [(3, 2), (4, 3)]
+    assert consulted() == [(3, 2), (4, 3)]
+    # y[3,2] does not commute with y[2,1], the first generator: the walk stops there
+    assert not verify_centrality(y(3, 2), validate_pattern_ideal(4, []))
+    assert consulted() == [(2, 1)]
+
+
+def test_centrality_sums_brackets_across_variables():
+    # every term of z_2*z_3 has a variable that brackets nonzero with some
+    # generator, so the product is central only because those brackets cancel
+    # across terms and variables; adding y[2,1]*z_3 leaves some uncancelled
+    ideal = validate_pattern_ideal(6, [])
+    _, z2, z3 = build_invariants(build_diagram(ideal))
+    product = z2 * z3
+    assert verify_centrality(product, ideal)
+    assert central_on_every_coordinate(product, ideal)
+    broken = product + y(2, 1) * z3
+    assert not verify_centrality(broken, ideal)
+    assert not central_on_every_coordinate(broken, ideal)
 
 
 def central_on_every_coordinate(z, ideal):

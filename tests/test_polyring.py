@@ -104,6 +104,46 @@ def test_ring_axioms(a, b, c):
     assert a * Polynomial.constant(1) == a
 
 
+# exponents at and around powers of two, so that products fill the packed
+# exponent fields of Polynomial.__mul__ up to their top bits
+EDGE_EXPONENTS = [1, 2, 3, 4, 5, 7, 8, 9, 127, 128, 129, 255, 256]
+nonzero = st.sampled_from([-3, -2, -1, 1, 2, 3])
+edge_coefficients = st.one_of(nonzero, st.builds(Fraction, nonzero, st.integers(1, 4)))
+edge_monomials = st.dictionaries(
+    st.sampled_from(VARS4), st.sampled_from(EDGE_EXPONENTS), max_size=3
+).map(lambda exponents: tuple(sorted(exponents.items())))
+
+
+@st.composite
+def wide_polynomials(draw):
+    """2 to 30 terms over the six variables of ut(4), so operands share variables."""
+    return Polynomial(draw(st.dictionaries(edge_monomials, edge_coefficients, min_size=2, max_size=30)))
+
+
+def reference_product(a, b):
+    """Term by term: one monomial_mul per pair of terms, zeros dropped, whole
+    Fractions stored as ints."""
+    total = {}
+    for mu, cu in a.terms.items():
+        for mv, cv in b.terms.items():
+            m = polyring.monomial_mul(mu, mv)
+            total[m] = total.get(m, 0) + cu * cv
+    return {
+        m: c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+        for m, c in total.items()
+        if c
+    }
+
+
+@given(wide_polynomials(), wide_polynomials())
+def test_product_matches_term_by_term_reference(a, b):
+    # in (a + b)(a - b) the cross terms cancel to zero
+    for u, v in [(a, b), (a + b, a - b)]:
+        got, expected = (u * v).terms, reference_product(u, v)
+        assert list(got.items()) == list(expected.items())
+        assert [type(c) for c in got.values()] == [type(c) for c in expected.values()]
+
+
 # --- derivatives and the Poisson bracket ----------------------------------------
 
 
