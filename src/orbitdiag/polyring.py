@@ -24,7 +24,7 @@ from fractions import Fraction
 import re
 
 from .core import (
-    ConsistencyError, LinearForm, MissingCoordinateError, Pair, PatternIdeal, _exact, bracket, succ_key,
+    ConsistencyError, LinearForm, MissingCoordinateError, Pair, PatternIdeal, _exact, bracket,
 )
 
 __all__ = [
@@ -105,13 +105,6 @@ def _pack(u: Monomial, shift: dict) -> int:
 
 def monomial_degree(u: Monomial) -> int:
     return sum(e for _, e in u)
-
-
-def term_sort_key(u: Monomial):
-    """Graded order, ties broken lexicographically with greater variables
-    (in the column order on positions) weighted first.  Ascending sort by
-    this key lists terms from greatest to least."""
-    return (-monomial_degree(u), sorted((succ_key(p), -e) for p, e in u))
 
 
 class Polynomial:
@@ -289,31 +282,109 @@ def evaluate(p: Polynomial, f: LinearForm) -> int | Fraction:
 def canonical_string(p: Polynomial) -> str:
     """Deterministic rendering: greatest term first, "c*y[i,j]^e*..." pieces.
 
-    Within one monomial the variables print in ascending (row, col) order;
-    unit coefficients and unit exponents are omitted.
+    Terms are in graded order, ties broken lexicographically with greater
+    variables (in the column order on positions, `succ_key`) weighted first;
+    within one monomial the variables print in ascending (row, col) order.
+    Unit coefficients and unit exponents are omitted.
     """
     if p.is_zero():
         return "0"
+    # one key per term; (col, -row) is succ_key flattened into the entry
+    order = sorted(
+        p.terms, key=lambda m: (-sum([e for _, e in m]), sorted([(col, -row, -e) for (row, col), e in m]))
+    )
+    rendered: dict = {}
     pieces: list[str] = []
-    for m in sorted(p.terms, key=term_sort_key):
+    for m in order:
         c = p.terms[m]
-        sign = "-" if c < 0 else "+"
+        factors = []
+        for entry in m:
+            text = rendered.get(entry)
+            if text is None:
+                (row, col), e = entry
+                text = rendered[entry] = f"y[{row},{col}]^{e}" if e > 1 else f"y[{row},{col}]"
+            factors.append(text)
         mag = -c if c < 0 else c
-        factors = [
-            f"y[{pair.row},{pair.col}]" + (f"^{e}" if e > 1 else "")
-            for pair, e in m
-        ]
         if not factors:
             body = str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([str(mag)] + factors)
+            body = str(mag) + "*" + "*".join(factors)
         if not pieces:
-            pieces.append(body if sign == "+" else "-" + body)
+            pieces.append("-" + body if c < 0 else body)
         else:
-            pieces.append(f" {sign} {body}")
+            pieces.append((" - " if c < 0 else " + ") + body)
     return "".join(pieces)
+
+
+# One whole term: an optional sign, then factors joined by '*', then the
+# whitespace up to the next sign or the end.  A number factor is followed only
+# by '*', a sign or the end, so it always spans the token the walker reads.
+# The patterns are compiled on first use, through re's own cache, so that a
+# process which only prints polynomials does not pay for them.
+_FACTOR = r"y\[\s*\d+\s*,\s*\d+\s*\](?:\s*\^\s*\d+)?|\d+(?:/\d+)?"
+_TERM = rf"\s*(?:([+-])\s*)?((?:{_FACTOR})(?:\s*\*\s*(?:{_FACTOR}))*)\s*(?=[+-]|\Z)"
+_VAR = r"y\[\s*(\d+)\s*,\s*(\d+)\s*\](?:\s*\^\s*(\d+))?"
+
+
+def _factor(text: str):
+    """A factor string as a number, or as (pair, exponent); None where the
+    walker reports an error (a position off the lower triangle, a zero
+    denominator)."""
+    var = re.fullmatch(_VAR, text)
+    if var is None:
+        if "/" not in text:
+            return int(text)
+        try:
+            return _exact(text)
+        except ZeroDivisionError:
+            return None
+    row, col, e = var.groups()
+    pair = Pair(int(row), int(col))
+    if not pair.row > pair.col >= 1:
+        return None
+    e = 1 if e is None else int(e)
+    # y^0 is the number 1, so a term's exponents are never zero
+    return (pair, e) if e else 1
+
+
+def parse_polynomial(text: str) -> Polynomial:
+    """Inverse of canonical_string (tolerant about whitespace).
+
+    Read a whole term per match, each distinct factor string converted once;
+    any text this stricter pass does not take is read by `_walk`, which
+    reports the first error in reading order with its position.
+    """
+    term, factors = re.compile(_TERM), re.compile(_FACTOR)
+    total: dict = {}
+    seen: dict = {}
+    pos = 0
+    while True:
+        match = term.match(text, pos)
+        if match is None:
+            return _walk(text)
+        sign, body = match.groups()
+        if sign == "+" and not pos:  # the text form never starts with '+'
+            return _walk(text)
+        coeff = -1 if sign == "-" else 1
+        exponents: dict = {}
+        for piece in factors.findall(body):
+            value = seen.get(piece)
+            if value is None:
+                value = seen[piece] = _factor(piece)
+                if value is None:
+                    return _walk(text)
+            if type(value) is tuple:
+                pair, e = value
+                exponents[pair] = exponents.get(pair, 0) + e
+            else:
+                coeff *= value
+        monomial = tuple(sorted(exponents.items()))
+        total[monomial] = total.get(monomial, 0) + coeff
+        pos = match.end()
+        if pos == len(text):
+            return Polynomial(total)
 
 
 # the empty `stray` alternative comes last: it matches only where no token
@@ -353,9 +424,9 @@ def _tokens(text: str):
         yield kind, value, start
 
 
-def parse_polynomial(text: str) -> Polynomial:
-    """Inverse of canonical_string (tolerant about whitespace), read in one
-    pass; of several errors the first in reading order is reported."""
+def _walk(text: str) -> Polynomial:
+    """The token-by-token reading of parse_polynomial, in one pass; of
+    several errors the first in reading order is reported."""
     tokens = _tokens(text)
     kind, value, pos = next(tokens)
     if kind == "end":

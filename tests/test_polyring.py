@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitdiag import polyring
@@ -17,6 +17,7 @@ from orbitdiag.core import (
     bracket,
     enumerate_pattern_ideals,
     random_form,
+    succ_key,
     validate_pattern_ideal,
 )
 from orbitdiag.polyring import (
@@ -289,6 +290,36 @@ def test_term_order_is_graded():
     assert canonical_string(p) == "y[2,1]*y[4,3] + y[4,1] + y[4,3]"
 
 
+# The term order canonical_string has always used, as one sort key per term:
+# graded, ties broken lexicographically with greater variables (in the column
+# order on positions) weighted first.
+def reference_term_order(m):
+    return (-sum(e for _, e in m), sorted((succ_key(pair), -e) for pair, e in m))
+
+
+@st.composite
+def polynomials_with_ties(draw):
+    """Terms of equal degree over few variables, a variable repeated within a
+    term, and Fraction coefficients."""
+    total = Polynomial.zero()
+    for _ in range(draw(st.integers(0, 8))):
+        term = Polynomial.constant(draw(st.fractions(-3, 3, max_denominator=4)))
+        for pair in draw(st.lists(st.sampled_from(VARS4), max_size=draw(st.sampled_from([0, 2, 2, 3])))):
+            term = term * Polynomial.variable(pair)
+        total = total + term
+    return total
+
+
+@given(polynomials_with_ties())
+def test_canonical_string_lists_terms_in_the_reference_order(p):
+    pieces = [canonical_string(Polynomial({m: p.terms[m]})) for m in sorted(p.terms, key=reference_term_order)]
+    expected = "".join(
+        piece if i == 0 else (" - " + piece[1:] if piece.startswith("-") else " + " + piece)
+        for i, piece in enumerate(pieces)
+    )
+    assert canonical_string(p) == (expected or "0")
+
+
 def test_parse_examples():
     assert parse_polynomial("y[4,1]") == y(4, 1)
     assert parse_polynomial("2/3*y[2,1]^2 - y[3,1]") == (
@@ -362,6 +393,44 @@ def test_parse_round_trips_or_reports_a_position(text):
         assert 0 <= error.position <= len(text)
     else:
         assert parse_polynomial(canonical_string(p)) == p
+
+
+# beyond PARSER_ALPHABET: whitespace and leading zeros inside a variable, positions
+# off the lower triangle, a spaced and a zero exponent, a whole ratio, a newline
+# and an Arabic-Indic digit (which `\d` and `int` accept)
+WALKER_ALPHABET = [
+    *PARSER_ALPHABET, "y[ 3 , 1 ]", "y[03,1]", "y[1,5]", "y[2,0]", "^ 2", "^0", "2/2", "1/0", "\n", "\u0663",
+]
+
+
+def parse_outcome(parse, text):
+    try:
+        p = parse(text)
+    except PolynomialSyntaxError as error:
+        return str(error), error.position
+    return [(m, c, type(c)) for m, c in p.terms.items()]
+
+
+# factors of WALKER_ALPHABET joined as the text form joins them, so that
+# many draws are whole polynomials and take the term-at-a-time path
+FACTORS = ["y[2,1]", "y[4,2]", "y[ 3 , 1 ]", "y[03,1]", "y[1,5]", "y[2,0]", "3", "2/2", "1/0", "\u0663"]
+
+
+@st.composite
+def polynomial_texts(draw):
+    pieces = []
+    for _ in range(draw(st.integers(0, 6))):
+        pieces.append(draw(st.sampled_from(["", "*", " + ", " - ", "\n-", "+", " "])))
+        pieces.append(draw(st.sampled_from(FACTORS)) + draw(st.sampled_from(["", "", "^ 2", "^0", "^3"])))
+    return "".join(pieces)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.lists(st.sampled_from(WALKER_ALPHABET), max_size=16).map("".join), polynomial_texts()))
+def test_term_parser_agrees_with_the_token_walker(text):
+    # the term-at-a-time reading gives the walker's terms and coefficient
+    # types, or hands the text to the walker for its message and position
+    assert parse_outcome(parse_polynomial, text) == parse_outcome(polyring._walk, text)
 
 
 # --- localized elements -------------------------------------------------------------
