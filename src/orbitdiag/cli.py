@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     ConsistencyError,
@@ -48,6 +48,7 @@ from .diagram import (
 __all__ = [
     "IdealSpec",
     "IdealSyntaxError",
+    "MAX_SIZE",
     "parse_ideal_spec",
     "render_diagram",
     "make_bundle",
@@ -58,14 +59,19 @@ __all__ = [
 ]
 
 
+# The largest matrix size an ideal spec may name.  The diagram and the oracle's
+# skew form of ut(n) have n(n-1)/2 cells and rows: an unbounded size would run
+# without end, while `index --ideal "200:"` already takes a fifth of a second.
+MAX_SIZE = 100
+
+
 class IdealSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         self.position = position
         super().__init__(f"{message} (at position {position})")
 
 
-@dataclass(frozen=True)
-class IdealSpec:
+class IdealSpec(NamedTuple):
     n: int
     pairs: tuple[Pair, ...]
 
@@ -79,8 +85,12 @@ def parse_ideal_spec(text: str) -> IdealSpec:
     if colon < 0:
         raise IdealSyntaxError("expected ':' after the matrix size", len(text))
     head = text[:colon].strip()
-    if not head.isdecimal() or int(head) < 1:
+    # a size with more digits than the cap is over it, and int() refuses 4300 digits
+    short = len(head.lstrip("0")) <= len(str(MAX_SIZE))
+    if not head.isdecimal() or (short and int(head) < 1):
         raise IdealSyntaxError("matrix size must be a positive integer", 0)
+    if not short or int(head) > MAX_SIZE:
+        raise IdealSyntaxError(f"matrix size must be at most {MAX_SIZE}", 0)
     pairs = []
     offset = colon + 1
     body = text[colon + 1 :]

@@ -13,7 +13,7 @@ geometry the rest of the package computes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
@@ -112,8 +112,7 @@ def order_gt(a: Pair, b: Pair) -> bool:
     return succ_key(a) < succ_key(b)
 
 
-@dataclass(frozen=True)
-class PatternIdeal:
+class PatternIdeal(NamedTuple):
     """A validated lower-left closed subset M of A (use validate_pattern_ideal)."""
 
     n: int
@@ -146,12 +145,9 @@ def validate_pattern_ideal(n: int, pairs: Iterable[Pair]) -> PatternIdeal:
     return PatternIdeal(n, members)
 
 
-@dataclass(frozen=True)
-class QuotientAlgebra:
-    """The quotient algebra: its basis is A minus M, listed greatest first."""
-
-    ideal: PatternIdeal
-    basis: tuple[Pair, ...]
+class QuotientAlgebra(namedtuple("QuotientAlgebra", "ideal basis")):
+    """The quotient algebra: its basis (a tuple of Pairs) is A minus M, listed
+    greatest first.  Instances keep a __dict__ for the cached columns."""
 
     @classmethod
     def from_ideal(cls, ideal: PatternIdeal) -> "QuotientAlgebra":
@@ -214,16 +210,13 @@ def _exact(value, den: int = 1) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(namedtuple("LinearForm", "algebra values")):
     """A point of the dual space: one rational value per basis position.
 
-    Stored sparsely; a missing key means value 0.  Keys outside the basis
-    are rejected (the form must annihilate the ideal).
+    Stored sparsely as sorted (Pair, value) items; a missing key means value
+    0.  Keys outside the basis are rejected (the form must annihilate the
+    ideal).  Instances keep a __dict__ for the cached lookup.
     """
-
-    algebra: QuotientAlgebra
-    values: tuple[tuple[Pair, int | Fraction], ...]
 
     @classmethod
     def from_dict(cls, algebra: QuotientAlgebra, values: dict[Pair, int | Fraction]) -> "LinearForm":
@@ -248,21 +241,22 @@ def _is_unit_lower(entries: tuple[tuple[int | Fraction, ...], ...]) -> bool:
     return all(len(row) == n and row[i] == 1 and not any(row[i + 1:]) for i, row in enumerate(entries))
 
 
-@dataclass(frozen=True)
-class UnipotentElement:
-    """A lower-triangular matrix with unit diagonal and `int` or `Fraction` entries."""
+class UnipotentElement(namedtuple("UnipotentElement", "entries")):
+    """A lower-triangular matrix with unit diagonal and `int` or `Fraction`
+    entries, given as a tuple of row tuples; `_replace` checks them too."""
 
-    entries: tuple[tuple[int | Fraction, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(isinstance(x, (int, Fraction)) for row in self.entries for x in row):
+    def __new__(cls, entries: tuple[tuple[int | Fraction, ...], ...]):
+        if not all(isinstance(x, (int, Fraction)) for row in entries for x in row):
             raise ValueError("entries must be int or Fraction; from_strict_lower converts other numbers")
-        if not _is_unit_lower(self.entries):
+        if not _is_unit_lower(entries):
             raise ValueError("entries must be lower triangular with unit diagonal")
+        return tuple.__new__(cls, (entries,))
 
     @classmethod
-    def identity(cls, n: int) -> "UnipotentElement":
-        return cls.from_strict_lower(n, {})
+    def _make(cls, iterable) -> "UnipotentElement":
+        return cls(*iterable)
 
     @classmethod
     def from_strict_lower(cls, n: int, coeffs: dict[Pair, int | Fraction]) -> "UnipotentElement":
@@ -277,43 +271,6 @@ class UnipotentElement:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def __mul__(self, other: "UnipotentElement") -> "UnipotentElement":
-        if self.n != other.n:
-            raise DimensionMismatchError(f"sizes {self.n} and {other.n} differ")
-        return UnipotentElement(_mat_mul(self.entries, other.entries))
-
-    def inverse(self) -> "UnipotentElement":
-        return UnipotentElement(_solve_right(UnipotentElement.identity(self.n).entries, self.entries))
-
-
-def _mat_mul(a, b):
-    """a * b, adding only the products of two nonzero entries: about half of
-    a triangular factor's entries are zero."""
-    n = len(a)
-    product = []
-    for a_row in a:
-        row = [0] * n
-        for x, b_row in zip(a_row, b):
-            if x:
-                for j, y in enumerate(b_row):
-                    if y:
-                        row[j] += x * y
-        product.append(tuple(row))
-    return tuple(product)
-
-
-def _solve_right(c, g):
-    """c * g^-1 for unit lower-triangular g: X g = c solved column by column from the right."""
-    n = len(g)
-    x = [list(row) for row in c]
-    for j in reversed(range(n)):
-        for k in range(j + 1, n):
-            gkj = g[k][j]
-            if gkj:
-                for row in x:
-                    row[j] -= row[k] * gkj
-    return tuple(tuple(row) for row in x)
 
 
 def coadjoint_act(g: UnipotentElement, f: LinearForm, ideal: PatternIdeal) -> LinearForm:

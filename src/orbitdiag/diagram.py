@@ -15,7 +15,6 @@ construction), the d_i^- subsets, and bracket-closure checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from typing import NamedTuple
@@ -58,8 +57,7 @@ class StepOutOfRangeError(IndexError):
         super().__init__(f"step {i} out of range (diagram has {s} steps)")
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One cross placement: its position, the paired fills, and p.
 
     p is the first row of the ideal in the cross's column t (n+1 when the
@@ -74,8 +72,7 @@ class StepRecord:
     p: int
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(NamedTuple):
     ideal: PatternIdeal
     cells: dict[Pair, Symbol]
     steps: tuple[StepRecord, ...]

@@ -24,7 +24,7 @@ read off its degrees in those pivots and one product certifies them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import ConsistencyError, Pair, PatternIdeal, bracket, order_gt, succ_key
 from .diagram import Diagram, b_set, classify_step
@@ -74,8 +74,7 @@ class NotTriangularError(ConsistencyError):
         super().__init__(f"{reason}: {witness}")
 
 
-@dataclass
-class ThetaState:
+class ThetaState(NamedTuple):
     """Composite images of the surviving coordinates after `step` steps.
 
     images[(a,b)] is the original-variable expression of the step-level
@@ -89,8 +88,7 @@ class ThetaState:
     z_list: tuple[Polynomial, ...]
 
 
-@dataclass
-class RelationReport:
+class RelationReport(NamedTuple):
     """The outcome of one step's relation check; `state` is the step built."""
 
     state: ThetaState

@@ -20,10 +20,9 @@ of the matrix with its denominators cleared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (
     DimensionMismatchError,
@@ -54,8 +53,7 @@ _P = (1 << 61) - 1
 _RETRIES = 5
 
 
-@dataclass(frozen=True)
-class SkewMatrix:
+class SkewMatrix(NamedTuple):
     """The pairing table f([y_a, y_b]) over the surviving basis, kept as
     sparse rows {column: nonzero value} in ascending column order."""
 

@@ -18,8 +18,7 @@ stays integer.  On top of the plain ring sit:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 import re
 
@@ -331,22 +330,18 @@ _VAR = r"y\[\s*(\d+)\s*,\s*(\d+)\s*\](?:\s*\^\s*(\d+))?"
 def _factor(text: str):
     """A factor string as a number, or as (pair, exponent); None where the
     walker reports an error (a position off the lower triangle, a zero
-    denominator)."""
+    denominator, a number over int's digit limit)."""
     var = re.fullmatch(_VAR, text)
-    if var is None:
-        if "/" not in text:
-            return int(text)
-        try:
-            return _exact(text)
-        except ZeroDivisionError:
-            return None
-    row, col, e = var.groups()
-    pair = Pair(int(row), int(col))
-    if not pair.row > pair.col >= 1:
+    try:
+        if var is None:
+            return _exact(text) if "/" in text else int(text)
+        row, col, e = (int(digits or 1) for digits in var.groups())  # no exponent is ^1
+    except (ValueError, ZeroDivisionError):
         return None
-    e = 1 if e is None else int(e)
+    if not row > col >= 1:
+        return None
     # y^0 is the number 1, so a term's exponents are never zero
-    return (pair, e) if e else 1
+    return (Pair(row, col), e) if e else 1
 
 
 def parse_polynomial(text: str) -> Polynomial:
@@ -406,21 +401,21 @@ def _tokens(text: str):
         value, start, pos = match.group(kind), match.start(kind), match.end()
         if kind == "stray":
             raise PolynomialSyntaxError("unexpected character", start)
+        try:
+            if kind == "var":
+                value = Pair(int(match.group("row")), int(match.group("col")))
+            elif kind == "num":
+                value = int(value)
+            elif kind == "ratio":
+                value = _exact(value)
+        except ZeroDivisionError:
+            raise PolynomialSyntaxError("zero denominator", start) from None
+        except ValueError:  # int() refuses a literal over its digit limit
+            raise PolynomialSyntaxError("number has too many digits", start) from None
         if kind == "op":
             kind = value
-        elif kind == "var":
-            value = Pair(int(match.group("row")), int(match.group("col")))
-            if not value.row > value.col >= 1:
-                raise PolynomialSyntaxError(
-                    f"y[{value.row},{value.col}] is not strictly lower-triangular", start
-                )
-        elif kind == "num":
-            value = int(value)
-        elif kind == "ratio":
-            try:
-                value = _exact(value)
-            except ZeroDivisionError:
-                raise PolynomialSyntaxError("zero denominator", start) from None
+        elif kind == "var" and not value.row > value.col >= 1:
+            raise PolynomialSyntaxError(f"y[{value.row},{value.col}] is not strictly lower-triangular", start)
         yield kind, value, start
 
 
@@ -475,23 +470,26 @@ def _walk(text: str) -> Polynomial:
 # --- localized elements ----------------------------------------------------
 
 
-@dataclass
-class LocalizedElement:
+class LocalizedElement(namedtuple("LocalizedElement", "num den")):
     """numerator / prod z_j^{e_j}; the z's are supplied separately as a table.
 
-    The exponents are a Counter {j: e_j} copied from any map, zeros dropped
-    and a negative exponent refused.  Arithmetic never cancels common
-    factors, so equality of representations is only sufficient, and
+    The numerator is a Polynomial.  The exponents are a Counter {j: e_j}
+    copied from any map (none means no denominator), zeros dropped and a
+    negative exponent refused, by `_replace` too.  Arithmetic never cancels
+    common factors, so equality of representations is only sufficient, and
     loc_equal (cross multiplication) is the semantic test.
     """
 
-    num: Polynomial
-    den: Counter = field(default_factory=Counter)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.den.values(), default=0) < 0:
-            raise ValueError(f"negative exponent in the denominator {dict(self.den)}")
-        self.den = Counter({j: e for j, e in self.den.items() if e})
+    def __new__(cls, num: Polynomial, den: dict | None = None):
+        if den and min(den.values()) < 0:
+            raise ValueError(f"negative exponent in the denominator {dict(den)}")
+        return tuple.__new__(cls, (num, Counter({j: e for j, e in (den or {}).items() if e})))
+
+    @classmethod
+    def _make(cls, iterable) -> "LocalizedElement":
+        return cls(*iterable)
 
 
 def expand_denominator(den: dict, z_table) -> Polynomial:

@@ -15,6 +15,7 @@ from orbitdiag import cli as cli_mod
 from orbitdiag import invariants as invariants_mod
 from orbitdiag import oracle as oracle_mod
 from orbitdiag.cli import (
+    MAX_SIZE,
     IdealSpec,
     IdealSyntaxError,
     dispatch,
@@ -52,6 +53,9 @@ def test_parse_ideal_spec():
     assert spec.pairs == (Pair(5, 1), Pair(6, 1), Pair(7, 1), Pair(7, 2))
     assert parse_ideal_spec("3:") == IdealSpec(3, ())
     assert parse_ideal_spec("  4 : 4,1 ") == IdealSpec(4, (Pair(4, 1),))
+    # the size cap, also with a leading zero
+    assert parse_ideal_spec(f"{MAX_SIZE}:") == IdealSpec(MAX_SIZE, ())
+    assert parse_ideal_spec(f"0{MAX_SIZE}: 3,1") == IdealSpec(MAX_SIZE, (Pair(3, 1),))
 
 
 def test_parse_ideal_spec_errors():
@@ -66,6 +70,10 @@ def test_parse_ideal_spec_errors():
         ("²:", 0),
         ("4: ²,1", 3),
         ("4: 4,¹", 3),
+        # sizes above the cap, including one too long for int()
+        (f"{MAX_SIZE + 1}:", 0),
+        ("1000:", 0),
+        ("9" * 5000 + ":", 0),
     ]
     for text, position in cases:
         with pytest.raises(IdealSyntaxError) as info:
@@ -351,6 +359,8 @@ def test_bad_input_exits_2(capsys):
     # the parser refuses the size itself, so the message carries a position
     assert dispatch(["index", "--ideal", "0:"]) == 2
     assert capsys.readouterr().err.rstrip("\n").endswith("(at position 0)")
+    assert dispatch(["index", "--ideal", f"{MAX_SIZE + 1}:"]) == 2
+    assert capsys.readouterr().err == f"error: matrix size must be at most {MAX_SIZE} (at position 0)\n"
 
 
 def test_argparse_failures_exit_2(capsys):

@@ -381,6 +381,28 @@ def test_parse_rejects_what_the_text_form_never_writes(text, position, message):
     assert info.value.position == position
 
 
+# int() refuses a literal of more than 4300 digits, its default limit: a number,
+# a ratio, an exponent or a position that long is a syntax error at its token,
+# from the term pass and from the walker alike
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [(LONG + "*y[2,1]", 0), ("y[2,1] - 3/" + LONG, 9), ("y[2,1]^" + LONG, 7), ("y[3,1]*y[" + LONG + ",1]", 7)],
+)
+def test_parse_refuses_a_literal_over_the_digit_limit(text, position):
+    for parse in (parse_polynomial, polyring._walk):
+        with pytest.raises(PolynomialSyntaxError, match="number has too many digits") as info:
+            parse(text)
+        assert info.value.position == position
+
+
+def test_parse_reads_a_literal_at_the_digit_limit():
+    coefficient = int("7" * 4300)
+    assert parse_polynomial("7" * 4300 + "*y[2,1]") == Polynomial.variable(Pair(2, 1)) * coefficient
+
+
 # the token alphabet of the text form, plus one stray character and a zero denominator
 PARSER_ALPHABET = ["y[2,1]", "y[3,1]", "y[4,2]", *"0123456789", "/", "+", "-", "*", "^", " ", "@", "1/0"]
 

@@ -57,6 +57,28 @@ def test_missing_coordinate_error_is_one_class():
     assert orbitdiag.MissingCoordinateError is core.MissingCoordinateError is polyring.MissingCoordinateError
 
 
+def test_no_module_imports_dataclasses():
+    # the records are named tuples: dataclasses and the inspect module it
+    # pulls in would cost every command line start-up
+    imported = [
+        (path.stem, node.lineno)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(alias.name == "dataclasses" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert imported == []
+
+
+def test_commands_load_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys, orbitdiag.cli, orbitdiag.invariants, orbitdiag.oracle, orbitdiag.polyring; "
+        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout == "\n"
+
+
 def test_bare_import_loads_no_submodule():
     code = "import sys, orbitdiag; print(*sorted(m for m in sys.modules if m.startswith('orbitdiag.')))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
