@@ -31,6 +31,7 @@ from .diagram import Diagram, b_set, classify_step
 from .polyring import (
     LocalizedElement,
     Polynomial,
+    _bracket_with,
     loc_add,
     loc_divide,
     loc_equal,
@@ -38,7 +39,6 @@ from .polyring import (
     loc_poisson_bracket,
     loc_scale,
     loc_sub,
-    monomial_mul,
     partial_derivative,
 )
 
@@ -205,34 +205,12 @@ def verify_centrality(z: Polynomial, ideal: PatternIdeal) -> bool:
 
     {z, .} is a derivation, so by Jacobi it kills [x, y] once it kills x and y.
     Each y[i,j] outside M is [y[i,j+1], y[j+1,j]], both factors outside M by
-    lower-left closure, so the generators y[i+1,i] outside M suffice.
-
-    {z, y_beta} is the sum over the terms c*m of z and their variables
-    y_alpha^e of [alpha, beta] * e*c * m/y_alpha * y_gamma, where gamma is
-    the position of [alpha, beta].  Only alpha = (r, i+1) and alpha = (i, c)
-    can bracket with beta = (i+1, i); one pass over z's terms per generator
-    collects that sum, and the first generator with a nonzero sum decides.
+    lower-left closure, so the generators y[i+1,i] outside M suffice; the
+    first generator with a nonzero bracket decides.
     """
-    n = ideal.n
-    for i in range(1, n):
+    for i in range(1, ideal.n):
         beta = Pair(i + 1, i)
-        if beta in ideal.members:
-            continue
-        partners = {}
-        candidates = [Pair(r, i + 1) for r in range(i + 2, n + 1)] + [Pair(i, c) for c in range(1, i)]
-        for alpha in candidates:
-            term = bracket(alpha, beta, ideal)
-            if term.pair is not None:
-                partners[alpha] = ((term.pair, 1),), term.coefficient
-        total: dict = {}
-        for m, c in z.terms.items():
-            for k, (alpha, e) in enumerate(m):
-                if alpha in partners:
-                    gamma, sign = partners[alpha]
-                    lowered = m[:k] + ((alpha, e - 1),) + m[k + 1 :] if e > 1 else m[:k] + m[k + 1 :]
-                    key = monomial_mul(lowered, gamma)
-                    total[key] = total.get(key, 0) + sign * e * c
-        if any(total.values()):
+        if beta not in ideal.members and _bracket_with(z, beta, ideal):
             return False
     return True
 

@@ -241,23 +241,34 @@ def partial_derivative(p: Polynomial, v) -> Polynomial:
     return Polynomial(total)
 
 
-def poisson_bracket(a: Polynomial, b: Polynomial, ideal: PatternIdeal) -> Polynomial:
-    """{a, b} = sum of [y_alpha, y_beta] * da/dy_alpha * db/dy_beta over the
-    variables of a and b; brackets landing in the ideal vanish.  One partial
-    of a is held at a time, so the gradient of a large a is never stored."""
-    b_vars = b.variables()
+def _bracket_with(a: Polynomial, beta: Pair, ideal: PatternIdeal) -> Polynomial:
+    """{a, y_beta}: the sum over the terms c*m of a and their variables
+    y_alpha^e of [alpha, beta] * e*c * m/y_alpha * y_gamma, in one pass over
+    a's terms, with each variable's bracket position gamma looked up once."""
+    partners: dict = {}
     total: dict = {}
-    for alpha in a.variables():
-        da = None
-        for beta in b_vars:
-            term = bracket(alpha, beta, ideal)
-            if term.pair is None:
-                continue
-            if da is None:
-                da = partial_derivative(a, alpha)
-            gamma = Polynomial({((term.pair, 1),): term.coefficient})
-            for m, c in (da * (gamma * partial_derivative(b, beta))).terms.items():
-                total[m] = total.get(m, 0) + c
+    for m, c in a.terms.items():
+        for k, (alpha, e) in enumerate(m):
+            try:
+                partner = partners[alpha]
+            except KeyError:
+                term = bracket(alpha, beta, ideal)
+                partner = partners[alpha] = None if term.pair is None else (((term.pair, 1),), term.coefficient)
+            if partner is not None:
+                gamma, sign = partner
+                lowered = m[:k] + ((alpha, e - 1),) + m[k + 1 :] if e > 1 else m[:k] + m[k + 1 :]
+                key = monomial_mul(lowered, gamma)
+                total[key] = total.get(key, 0) + sign * e * c
+    return Polynomial(total)
+
+
+def poisson_bracket(a: Polynomial, b: Polynomial, ideal: PatternIdeal) -> Polynomial:
+    """{a, b} = sum of {a, y_beta} * db/dy_beta over the variables of b, the
+    Leibniz rule in b; brackets landing in the ideal vanish."""
+    total: dict = {}
+    for beta in b.variables():
+        for m, c in (_bracket_with(a, beta, ideal) * partial_derivative(b, beta)).terms.items():
+            total[m] = total.get(m, 0) + c
     return Polynomial(total)
 
 

@@ -28,7 +28,6 @@ from orbitdiag.core import order_gt
 from orbitdiag.invariants import (
     build_invariants,
     initial_state,
-    theta_step,
     triangular_decompose,
     verify_centrality,
     verify_relations,
@@ -178,7 +177,7 @@ def test_criterion_5_symbolic_suite(suite, diagrams, example7, capsys):
                 report = verify_relations(state, d, i)
                 if not report.passed:
                     failures.append(f"{label}: step {i}: {report.counterexample}")
-                state = theta_step(state, d, i)
+                state = report.state
         except Exception as exc:  # noqa: BLE001 -- gate must report, not crash
             failures.append(f"{label}: {exc!r}")
     announce(

@@ -70,6 +70,9 @@ def test_parse_ideal_spec_errors():
         ("²:", 0),
         ("4: ²,1", 3),
         ("4: 4,¹", 3),
+        # a coordinate too long for int() is refused at its pair
+        ("7: 2,1; " + "9" * 5000 + ",1", 8),
+        ("7: 2," + "9" * 5000, 3),
         # sizes above the cap, including one too long for int()
         (f"{MAX_SIZE + 1}:", 0),
         ("1000:", 0),
@@ -175,9 +178,8 @@ def test_run_verify_is_deterministic():
     assert json.dumps(first[0]) == json.dumps(second[0])
 
 
-def test_run_verify_walks_each_symbolic_ideal_twice(monkeypatch):
-    # once in build_invariants(check=True), once through the relation
-    # checks, whose reports carry each step forward
+def test_run_verify_walks_each_symbolic_ideal_once(monkeypatch):
+    # only the relation checks walk, and their reports carry each step forward
     calls = []
     step = invariants_mod.theta_step
 
@@ -188,22 +190,29 @@ def test_run_verify_walks_each_symbolic_ideal_twice(monkeypatch):
     monkeypatch.setattr(invariants_mod, "theta_step", counted)
     run_verify(5, 5, 1, 1000)
     steps = sum(build_diagram(ideal).s for n in range(2, 6) for ideal in enumerate_pattern_ideals(n))
-    assert len(calls) == 2 * steps == 254
+    assert len(calls) == steps == 127
 
 
 def test_run_verify_flags_corrupted_invariants(monkeypatch):
-    bad = [Polynomial.variable(Pair(2, 1))]
-    monkeypatch.setattr(invariants_mod, "build_invariants", lambda d, check=False: bad)
-    report, passed = run_verify(3, 5, 0, 50)
+    # each step's table is replaced by the bare pivot variables: they have the
+    # staircase shape, but y[3,1] is no invariant of ut(4)
+    step = invariants_mod.theta_step
+
+    def corrupted(prev, d, i):
+        pivots = tuple(Polynomial.variable(rec.xi) for rec in d.steps[:i])
+        return step(prev, d, i)._replace(z_list=pivots)
+
+    monkeypatch.setattr(invariants_mod, "theta_step", corrupted)
+    report, passed = run_verify(4, 5, 0, 50)
     assert not passed
     assert report["checks"]["invariance"]["failures"]
 
 
 def test_run_verify_survives_a_crashing_builder(monkeypatch):
-    def explode(d, check=False):
+    def explode(prev, d, i):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(invariants_mod, "build_invariants", explode)
+    monkeypatch.setattr(invariants_mod, "theta_step", explode)
     report, passed = run_verify(2, 2, 0, 50)
     assert not passed
     assert any("boom" in f for f in report["checks"]["symbolic"]["failures"])
@@ -330,6 +339,10 @@ def test_orbit_dim_names_a_form_value_on_the_ideal(capsys, tmp_path):
         # digits that int() refuses make a bad key, not a bare int() failure
         ('{"²,1": 1}', "bad coordinate key '²,1'"),
         ('{"2,-¹": 1}', "bad coordinate key '2,-¹'"),
+        pytest.param(
+            '{"' + "9" * 5000 + ',1": 1}', "coordinate key '" + "9" * 5000 + ",1' has too many digits",
+            id="key-over-the-digit-limit",
+        ),
         # one sign at most: a doubled one is a bad key, not an int() failure
         ('{"--2,1": 1}', "bad coordinate key '--2,1' in form file"),
         ('{"2,--1": 1}', "bad coordinate key '2,--1' in form file"),
@@ -361,6 +374,9 @@ def test_bad_input_exits_2(capsys):
     assert capsys.readouterr().err.rstrip("\n").endswith("(at position 0)")
     assert dispatch(["index", "--ideal", f"{MAX_SIZE + 1}:"]) == 2
     assert capsys.readouterr().err == f"error: matrix size must be at most {MAX_SIZE} (at position 0)\n"
+    # a coordinate int() refuses is bad input at its pair, not Python's own message
+    assert dispatch(["index", "--ideal", "7: " + "9" * 5000 + ",1"]) == 2
+    assert capsys.readouterr().err == "error: pair coordinate has too many digits (at position 3)\n"
 
 
 def test_argparse_failures_exit_2(capsys):

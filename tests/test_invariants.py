@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitdiag import invariants as invariants_mod
+from orbitdiag import invariants as invariants_mod, polyring as polyring_mod
 from orbitdiag.core import (
     ConsistencyError,
     LinearForm,
@@ -42,6 +42,7 @@ from orbitdiag.polyring import (
     evaluate,
     loc_add,
     parse_polynomial,
+    partial_derivative,
     poisson_bracket,
 )
 
@@ -315,7 +316,8 @@ def test_centrality_brackets_once_per_generator_outside_the_ideal(monkeypatch):
         seen.clear()
         return generators
 
-    monkeypatch.setattr(invariants_mod, "bracket", recording_bracket)
+    # the one {a, y_beta} kernel lives in polyring and looks bracket up there
+    monkeypatch.setattr(polyring_mod, "bracket", recording_bracket)
     assert verify_centrality(y(10, 1), validate_pattern_ideal(10, []))
     assert consulted() == [(i + 1, i) for i in range(1, 10)]
     # (2,1) lies in this ideal, so only y[3,2] and y[4,3] are bracketed
@@ -340,13 +342,57 @@ def test_centrality_sums_brackets_across_variables():
     assert not central_on_every_coordinate(broken, ideal)
 
 
+# --- the Poisson bracket, as reference code -----------------------------------------
+#
+# The library sums {a, y_beta} in one place and builds both the centrality
+# test and `poisson_bracket` on it, so the reference the two are checked
+# against takes a route of its own: one product of partial derivatives per
+# bracketing pair of variables.
+
+
+def reference_poisson_bracket(a, b, ideal):
+    """{a, b} = sum of [y_alpha, y_beta] * da/dy_alpha * db/dy_beta over the
+    variables of a and b; brackets landing in the ideal vanish."""
+    b_vars = b.variables()
+    total = Polynomial.zero()
+    for alpha in a.variables():
+        da = None
+        for beta in b_vars:
+            term = bracket(alpha, beta, ideal)
+            if term.pair is None:
+                continue
+            if da is None:
+                da = partial_derivative(a, alpha)
+            gamma = Polynomial({((term.pair, 1),): term.coefficient})
+            total = total + da * (gamma * partial_derivative(b, beta))
+    return total
+
+
 def central_on_every_coordinate(z, ideal):
     """The reference: bracket z with each coordinate of the quotient."""
     return all(
-        poisson_bracket(z, Polynomial.variable(eta), ideal).is_zero()
+        reference_poisson_bracket(z, Polynomial.variable(eta), ideal).is_zero()
         for eta in all_pairs(ideal.n)
         if eta not in ideal.members
     )
+
+
+def test_bracket_matches_the_reference_on_large_operands():
+    # the property tests draw small polynomials; these products of the
+    # invariants and step-2 images of the ut(8) walk have hundreds of terms
+    ideal = validate_pattern_ideal(8, [])
+    states = states_of(build_diagram(ideal))
+    _, _, z3, z4 = states[-1].z_list
+    image = {pair: element.num for pair, element in states[2].images.items()}
+    a, b = z4 * image[Pair(6, 5)], z3 * image[Pair(5, 3)]
+    assert (len(z4.terms), len(a.terms), len(b.terms)) == (68, 342, 33)
+    sizes = []
+    for x, w in [(a, b), (b, a), (a, y(5, 3)), (z4, y(2, 1)), (z3 * z4, a)]:
+        got = poisson_bracket(x, w, ideal)
+        assert got == reference_poisson_bracket(x, w, ideal)
+        sizes.append(len(got.terms))
+    # z3 and z4 are central, so the last two cancel across every term
+    assert sizes == [1010, 1010, 294, 0, 0]
 
 
 IDEALS_UP_TO_6 = [
@@ -463,8 +509,9 @@ def test_relations_hold_exhaustively_up_to_n4():
             d = build_diagram(ideal)
             st = initial_state(d)
             for i in range(1, d.s + 1):
-                assert verify_relations(st, d, i).passed
-                st = theta_step(st, d, i)
+                report = verify_relations(st, d, i)
+                assert report.passed
+                st = report.state
             assert st.images == {}
 
 
