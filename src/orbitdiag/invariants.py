@@ -24,6 +24,7 @@ read off its degrees in those pivots and one product certifies them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .core import ConsistencyError, Pair, PatternIdeal, bracket, order_gt, succ_key
@@ -31,7 +32,8 @@ from .diagram import Diagram, b_set, classify_step
 from .polyring import (
     LocalizedElement,
     Polynomial,
-    _bracket_with,
+    _brackets_with,
+    _largest_exponents,
     loc_add,
     loc_divide,
     loc_equal,
@@ -39,7 +41,6 @@ from .polyring import (
     loc_poisson_bracket,
     loc_scale,
     loc_sub,
-    partial_derivative,
 )
 
 __all__ = [
@@ -169,31 +170,44 @@ def triangular_decompose(
 ) -> tuple[dict[int, int], Polynomial]:
     """Split z as y_xi * Q + P and certify the staircase shape.
 
-    Checks, in order: z has degree exactly 1 in y_xi; Q = dz/dy_xi is a
-    product of powers of the earlier z's; and P = z - y_xi*Q, the terms of
-    z without y_xi, only involves variables strictly greater than xi.
-    Newest first, e_j is Q's degree in the least variable of z_j (its
-    pivot, absent from older z's) less what the newer factors give; one
-    product comparison then certifies Q for any `earlier`.  Returns the
-    exponent map of Q and the remainder P.
+    One pass over z's terms splits off Q, the terms with y_xi (y_xi
+    removed), and P, the rest.  Checks, in order: z has degree exactly 1
+    in y_xi; Q is a product of powers of the earlier z's; and P only
+    involves variables strictly greater than xi.  Newest first, e_j is Q's
+    degree in the least variable of z_j (its pivot, absent from older z's)
+    less the newer factors' degrees there, which add under products; one
+    product, smallest factor first, then certifies Q for any `earlier`.
+    Returns the exponent map of Q and the remainder P.
     """
     xi = Pair(*xi)
-    if z.degree_in(xi) != 1:
-        raise NotTriangularError("degree in the pivot variable is not 1", (tuple(xi), z.degree_in(xi)))
-    q = partial_derivative(z, xi)
+    with_xi, without = {}, {}
+    degree = 0
+    for m, c in z.terms.items():
+        i = bisect_left(m, (xi,))
+        if i < len(m) and m[i][0] == xi:
+            degree = max(degree, m[i][1])
+            with_xi[m[:i] + m[i + 1 :]] = c
+        else:
+            without[m] = c
+    if degree != 1:
+        raise NotTriangularError("degree in the pivot variable is not 1", (tuple(xi), degree))
+    q = Polynomial(with_xi)
+    tops = [_largest_exponents(w.terms) for w in earlier]
+    top_q = _largest_exponents(q.terms)
     exponents: dict[int, int] = {}
-    product = Polynomial.constant(1)
     for j in range(len(earlier), 0, -1):
-        least = max(earlier[j - 1].variables(), key=succ_key, default=None)
+        least = max(tops[j - 1], key=succ_key, default=None)
         if least is None:
             continue
-        e = q.degree_in(least) - product.degree_in(least)
+        e = top_q.get(least, 0) - sum(e_k * tops[k - 1].get(least, 0) for k, e_k in exponents.items())
         if e > 0:
             exponents[j] = e
-            product = product * earlier[j - 1] ** e
+    product = Polynomial.constant(1)
+    for factor in sorted((earlier[j - 1] ** e for j, e in exponents.items()), key=lambda w: len(w.terms)):
+        product = product * factor
     if product != q:
         raise NotTriangularError("pivot coefficient is not a product of earlier invariants", q)
-    remainder = Polynomial({m: c for m, c in z.terms.items() if all(p != xi for p, _ in m)})
+    remainder = Polynomial(without)
     for v in sorted(remainder.variables()):
         if not order_gt(v, xi):
             raise NotTriangularError("remainder touches a variable not above the pivot", tuple(v))
@@ -205,14 +219,11 @@ def verify_centrality(z: Polynomial, ideal: PatternIdeal) -> bool:
 
     {z, .} is a derivation, so by Jacobi it kills [x, y] once it kills x and y.
     Each y[i,j] outside M is [y[i,j+1], y[j+1,j]], both factors outside M by
-    lower-left closure, so the generators y[i+1,i] outside M suffice; the
-    first generator with a nonzero bracket decides.
+    lower-left closure, so the generators y[i+1,i] outside M suffice; their
+    brackets with z are summed in one pass over z's terms.
     """
-    for i in range(1, ideal.n):
-        beta = Pair(i + 1, i)
-        if beta not in ideal.members and _bracket_with(z, beta, ideal):
-            return False
-    return True
+    generators = [Pair(i + 1, i) for i in range(1, ideal.n) if Pair(i + 1, i) not in ideal.members]
+    return not any(any(terms.values()) for terms in _brackets_with(z, generators, ideal).values())
 
 
 def verify_relations(prev: ThetaState, d: Diagram, i: int) -> RelationReport:

@@ -234,31 +234,32 @@ def _gradient(z: Polynomial, values: dict, columns: dict) -> list[int]:
     position in the gradient.  For a term c * v_1^e_1 ... v_k^e_k, the
     partial in v_i is the product of the other factors' powers (a prefix
     product times a suffix product, so a zero coordinate needs no
-    division) times c * e_i * v_i^(e_i - 1).
+    division) times c * e_i * v_i^(e_i - 1).  Each distinct entry v^e
+    gets its (column, v^e, e * v^(e - 1)) once.
     """
     gradient = [0] * len(columns)
+    entries: dict = {}
     for monomial, c in z.terms.items():
-        cols, powers, slopes = [], [], []
-        for pair, e in monomial:
-            col = columns.get(pair)
-            if col is None:
-                raise MissingCoordinateError(pair)
-            v = values.get(pair, 0)
-            cols.append(col)
-            if e == 1:
-                powers.append(v)
-                slopes.append(1)
-            else:
+        rows = []
+        for entry in monomial:
+            row = entries.get(entry)
+            if row is None:
+                pair, e = entry
+                col = columns.get(pair)
+                if col is None:
+                    raise MissingCoordinateError(pair)
+                v = values.get(pair, 0)
                 lower = pow(v, e - 1, _P)
-                powers.append(lower * v % _P)
-                slopes.append(e * lower)
+                row = entries[entry] = (col, lower * v % _P, e * lower)
+            rows.append(row)
         prefix = [_reduce(c)]
-        for power in powers[:-1]:
+        for _, power, _ in rows[:-1]:
             prefix.append(prefix[-1] * power % _P)
         suffix = 1
-        for k in range(len(cols) - 1, -1, -1):
-            gradient[cols[k]] += prefix[k] * suffix * slopes[k]
-            suffix = suffix * powers[k] % _P
+        for k in range(len(rows) - 1, -1, -1):
+            col, power, slope = rows[k]
+            gradient[col] += prefix[k] * suffix * slope
+            suffix = suffix * power % _P
     return [g % _P for g in gradient]
 
 

@@ -241,47 +241,58 @@ def partial_derivative(p: Polynomial, v) -> Polynomial:
     return Polynomial(total)
 
 
-def _bracket_with(a: Polynomial, beta: Pair, ideal: PatternIdeal) -> Polynomial:
-    """{a, y_beta}: the sum over the terms c*m of a and their variables
-    y_alpha^e of [alpha, beta] * e*c * m/y_alpha * y_gamma, in one pass over
-    a's terms, with each variable's bracket position gamma looked up once."""
+def _brackets_with(a: Polynomial, betas, ideal: PatternIdeal) -> dict:
+    """{a, y_beta} for every beta, as {beta: {monomial: coefficient}} with
+    zero sums kept: the sum over the terms c*m of a and their variables
+    y_alpha^e of [alpha, beta] * e*c * m/y_alpha * y_gamma.  One pass over
+    a's terms; each variable's (total, y_gamma, sign) rows, over the betas
+    whose bracket with it is nonzero, are looked up once."""
+    totals = {beta: {} for beta in betas}
     partners: dict = {}
-    total: dict = {}
     for m, c in a.terms.items():
         for k, (alpha, e) in enumerate(m):
             try:
-                partner = partners[alpha]
+                rows = partners[alpha]
             except KeyError:
-                term = bracket(alpha, beta, ideal)
-                partner = partners[alpha] = None if term.pair is None else (((term.pair, 1),), term.coefficient)
-            if partner is not None:
-                gamma, sign = partner
+                rows = partners[alpha] = [
+                    (totals[beta], ((term.pair, 1),), term.coefficient)
+                    for beta in totals
+                    if (term := bracket(alpha, beta, ideal)).pair is not None
+                ]
+            if rows:
                 lowered = m[:k] + ((alpha, e - 1),) + m[k + 1 :] if e > 1 else m[:k] + m[k + 1 :]
-                key = monomial_mul(lowered, gamma)
-                total[key] = total.get(key, 0) + sign * e * c
-    return Polynomial(total)
+                for total, gamma, sign in rows:
+                    key = monomial_mul(lowered, gamma)
+                    total[key] = total.get(key, 0) + sign * e * c
+    return totals
 
 
 def poisson_bracket(a: Polynomial, b: Polynomial, ideal: PatternIdeal) -> Polynomial:
     """{a, b} = sum of {a, y_beta} * db/dy_beta over the variables of b, the
     Leibniz rule in b; brackets landing in the ideal vanish."""
     total: dict = {}
-    for beta in b.variables():
-        for m, c in (_bracket_with(a, beta, ideal) * partial_derivative(b, beta)).terms.items():
+    for beta, terms in _brackets_with(a, b.variables(), ideal).items():
+        for m, c in (Polynomial(terms) * partial_derivative(b, beta)).terms.items():
             total[m] = total.get(m, 0) + c
     return Polynomial(total)
 
 
 def evaluate(p: Polynomial, f: LinearForm) -> int | Fraction:
+    """p at f, each distinct entry y_pair^e of p's monomials raised once."""
     basis = f.algebra.columns
     values = f.lookup
+    powers: dict = {}
     total = 0
     for m, c in p.terms.items():
         prod = c
-        for pair, e in m:
-            if pair not in basis:
-                raise MissingCoordinateError(pair)
-            prod *= values.get(pair, 0) ** e
+        for entry in m:
+            power = powers.get(entry)
+            if power is None:
+                pair, e = entry
+                if pair not in basis:
+                    raise MissingCoordinateError(pair)
+                power = powers[entry] = values.get(pair, 0) ** e
+            prod *= power
         total += prod
     return total
 

@@ -18,8 +18,10 @@ from orbitdiag.core import (
     bracket,
     coadjoint_act,
     enumerate_pattern_ideals,
+    order_gt,
     random_form,
     random_unipotent,
+    succ_key,
     validate_pattern_ideal,
 )
 from orbitdiag.diagram import StepOutOfRangeError, b_set, build_diagram
@@ -286,6 +288,95 @@ def test_staircase_decomposition_digest_up_to_n7():
     )
 
 
+# --- the staircase split, as reference code ------------------------------------------
+#
+# The library splits z in one pass and reads the exponents off degree tables;
+# the reference takes a route of its own: the degree in y_xi, the partial
+# derivative, and a product grown newest first whose own degree is read back.
+
+
+def reference_triangular_decompose(z, xi, earlier):
+    xi = Pair(*xi)
+    if z.degree_in(xi) != 1:
+        raise NotTriangularError("degree in the pivot variable is not 1", (tuple(xi), z.degree_in(xi)))
+    q = partial_derivative(z, xi)
+    exponents = {}
+    product = Polynomial.constant(1)
+    for j in range(len(earlier), 0, -1):
+        least = max(earlier[j - 1].variables(), key=succ_key, default=None)
+        if least is None:
+            continue
+        e = q.degree_in(least) - product.degree_in(least)
+        if e > 0:
+            exponents[j] = e
+            product = product * earlier[j - 1] ** e
+    if product != q:
+        raise NotTriangularError("pivot coefficient is not a product of earlier invariants", q)
+    remainder = Polynomial({m: c for m, c in z.terms.items() if all(p != xi for p, _ in m)})
+    for v in sorted(remainder.variables()):
+        if not order_gt(v, xi):
+            raise NotTriangularError("remainder touches a variable not above the pivot", tuple(v))
+    return exponents, remainder
+
+
+def staircase_outcome(decompose, z, xi, earlier):
+    """(exponents, remainder), or (reason, witness) of the failed check."""
+    try:
+        return decompose(z, xi, earlier)
+    except NotTriangularError as error:
+        return error.reason, error.witness
+
+
+def corruptions(z, xi, n):
+    """z with a y_xi^2 term, without y_xi, with a term of y_xi*Q dropped,
+    and with a remainder term below the pivot."""
+    pivot = Polynomial.variable(xi)
+    with_xi = Polynomial({m: c for m, c in z.terms.items() if any(p == xi for p, _ in m)})
+    yield z + 3 * pivot**2
+    yield 3 * pivot**2 + z  # the y_xi^2 term met first
+    yield z - with_xi
+    yield z - Polynomial(dict([next(iter(with_xi.terms.items()))]))
+    least = Pair(n, n - 1)
+    if least != xi:
+        yield z - 2 * Polynomial.variable(least)
+
+
+def test_staircase_split_matches_the_reference_up_to_n6():
+    reasons = set()
+    for ideal in IDEALS_UP_TO_6:
+        d = build_diagram(ideal)
+        zs = invariants_of(ideal)
+        for i, z in enumerate(zs, 1):
+            xi, earlier = d.xi_list[i - 1], zs[: i - 1]
+            assert triangular_decompose(z, xi, earlier) == reference_triangular_decompose(z, xi, earlier)
+            for bad in corruptions(z, xi, ideal.n):
+                got = staircase_outcome(triangular_decompose, bad, xi, earlier)
+                assert got == staircase_outcome(reference_triangular_decompose, bad, xi, earlier)
+                reasons.add(got[0])
+    assert reasons == {
+        "degree in the pivot variable is not 1",
+        "pivot coefficient is not a product of earlier invariants",
+        "remainder touches a variable not above the pivot",
+    }
+
+
+HEAVY11 = validate_pattern_ideal(
+    11, [(r, c) for c, low in enumerate([3, 7, 7, 8, 8, 8, 10, 11, 11], 1) for r in range(low, 12)]
+)
+
+
+def test_staircase_split_matches_the_reference_on_a_heavy_invariant():
+    # z_10 of this n = 11 ideal is y[11,10] * z_1^2 z_2^2 z_3 ... z_9 unreduced
+    d = build_diagram(HEAVY11)
+    zs = build_invariants(d, check=False)
+    z, xi, earlier = zs[9], d.xi_list[9], zs[:9]
+    assert len(z.terms) == 1650
+    exponents, remainder = triangular_decompose(z, xi, earlier)
+    assert (exponents, remainder) == reference_triangular_decompose(z, xi, earlier)
+    assert exponents == {9: 1, 8: 1, 7: 1, 6: 1, 5: 1, 4: 1, 3: 1, 2: 2, 1: 2}
+    assert remainder.is_zero()
+
+
 # --- centrality -----------------------------------------------------------------------
 
 
@@ -308,11 +399,14 @@ def test_centrality_brackets_once_per_generator_outside_the_ideal(monkeypatch):
     seen = []
 
     def recording_bracket(a, b, ideal):
-        seen.append(tuple(b))
+        seen.append((tuple(a), tuple(b)))
         return bracket(a, b, ideal)
 
     def consulted():
-        generators = list(dict.fromkeys(seen))
+        # one pass over z's terms: each (variable, generator) pair is
+        # bracketed at most once, however many terms hold the variable
+        assert len(seen) == len(set(seen))
+        generators = list(dict.fromkeys(b for _, b in seen))
         seen.clear()
         return generators
 
@@ -323,9 +417,18 @@ def test_centrality_brackets_once_per_generator_outside_the_ideal(monkeypatch):
     # (2,1) lies in this ideal, so only y[3,2] and y[4,3] are bracketed
     assert verify_centrality(y(4, 2), validate_pattern_ideal(4, [(2, 1), (3, 1), (4, 1)]))
     assert consulted() == [(3, 2), (4, 3)]
-    # y[3,2] does not commute with y[2,1], the first generator: the walk stops there
+    # y[3,2] does not commute with y[2,1]; all generators are bracketed in
+    # the same pass, so the verdict comes after the last of them
     assert not verify_centrality(y(3, 2), validate_pattern_ideal(4, []))
-    assert consulted() == [(2, 1)]
+    assert consulted() == [(2, 1), (3, 2), (4, 3)]
+    # z_3 of ut(6): its terms share variables, and each pair is still bracketed once
+    ideal = validate_pattern_ideal(6, [])
+    z = build_invariants(build_diagram(ideal), check=False)[-1]
+    assert sum(len(m) for m in z.terms) > len(z.variables())
+    assert verify_centrality(z, ideal)
+    generators = [(i + 1, i) for i in range(1, 6)]
+    assert len(seen) == len(z.variables()) * len(generators)
+    assert consulted() == generators
 
 
 def test_centrality_sums_brackets_across_variables():

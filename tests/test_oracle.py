@@ -309,6 +309,43 @@ def test_gradient_walk_matches_the_partial_derivatives(case):
     assert _gradient(z, values, columns) == expected
 
 
+def test_gradient_shares_powers_across_terms():
+    # y[3,1] at exponents 1, 2 and 3 over several terms, y[3,1]^2 in two of
+    # them, at a rational form: sum of c * e_i * v_i^(e_i - 1) * prod of the
+    # other v^e, term by term, reduced mod p at the end
+    z = Polynomial({
+        ((Pair(3, 1), 3), (Pair(4, 2), 1)): Fraction(1, 2),
+        ((Pair(3, 1), 2),): Fraction(-2, 3),
+        ((Pair(3, 1), 2), (Pair(4, 2), 2)): 5,
+        ((Pair(3, 1), 1), (Pair(4, 1), 1)): -1,
+    })
+    f = form(UT4, {(3, 1): "-3/2", (4, 2): "5/7", (4, 1): 2})
+    basis = f.algebra.basis
+    columns = {pair: i for i, pair in enumerate(basis)}
+    expected = [Fraction(0)] * len(basis)
+    for m, c in z.terms.items():
+        for pair, e in m:
+            partial = c * e * f.lookup.get(pair, 0) ** (e - 1)
+            for other, k in m:
+                if other != pair:
+                    partial *= f.lookup.get(other, 0) ** k
+            expected[columns[pair]] += partial
+    values = {pair: _reduce(v) for pair, v in f.values}
+    assert _gradient(z, values, columns) == [_reduce(x) for x in expected]
+
+
+def test_gradient_refuses_a_missing_coordinate_in_a_later_term():
+    # y[2,1]^2 is looked up for the first term and reused; y[3,1], outside
+    # the quotient, first appears in the second term
+    ideal = validate_pattern_ideal(3, [(3, 1)])
+    f = form(ideal, {(2, 1): 3, (3, 2): 1})
+    z = Polynomial({((Pair(2, 1), 2),): 1, ((Pair(2, 1), 2), (Pair(3, 1), 1)): 1})
+    values = {pair: _reduce(v) for pair, v in f.values}
+    with pytest.raises(MissingCoordinateError) as info:
+        _gradient(z, values, f.algebra.columns)
+    assert info.value.pair == Pair(3, 1)
+
+
 def test_jacobian_rank_refuses_a_variable_outside_the_quotient():
     ideal = validate_pattern_ideal(3, [(3, 1)])
     f = form(ideal, {(2, 1): 1, (3, 2): 1})

@@ -257,6 +257,33 @@ def test_evaluate_needs_all_coordinates():
         evaluate(y(3, 1), f)
 
 
+def test_evaluate_shares_powers_across_terms():
+    # y[3,1] at exponents 1, 2 and 3 over several terms, y[3,1]^2 in two of
+    # them, rational coefficients and values: c * prod v^e, term by term
+    p = parse_polynomial(
+        "1/2*y[3,1]^3*y[4,2] - 2/3*y[3,1]^2 + 5*y[3,1]^2*y[4,2]^2 - y[3,1]*y[4,1] + 7/4*y[4,2]"
+    )
+    for values in [{(3, 1): "-3/2", (4, 2): "5/7", (4, 1): 2}, {(3, 1): 4, (4, 2): "1/3"}]:
+        f = algebra_form(values)
+        expected = Fraction(0)
+        for m, c in p.terms.items():
+            for pair, e in m:
+                c *= f.lookup.get(pair, 0) ** e
+            expected += c
+        assert evaluate(p, f) == expected
+
+
+def test_evaluate_refuses_a_missing_coordinate_in_a_later_term():
+    # y[2,1]^2 is raised for the first term and reused; y[3,1], outside the
+    # quotient, first appears in the second term, ahead of y[4,2]
+    ideal = validate_pattern_ideal(4, [(3, 1), (4, 1), (4, 2)])
+    f = LinearForm.from_dict(QuotientAlgebra.from_ideal(ideal), {Pair(2, 1): Fraction(3)})
+    p = Polynomial({((Pair(2, 1), 2),): 1, ((Pair(2, 1), 2), (Pair(3, 1), 1), (Pair(4, 2), 1)): 1})
+    with pytest.raises(MissingCoordinateError) as info:
+        evaluate(p, f)
+    assert info.value.pair == Pair(3, 1)
+
+
 @given(polynomials(), polynomials(), st.integers(0, 100))
 def test_evaluate_is_a_ring_map(a, b, seed):
     f = random_form(QuotientAlgebra.from_ideal(UT4), 9, seed)
