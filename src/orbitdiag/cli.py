@@ -85,11 +85,13 @@ def parse_ideal_spec(text: str) -> IdealSpec:
     if colon < 0:
         raise IdealSyntaxError("expected ':' after the matrix size", len(text))
     head = text[:colon].strip()
-    # a size with more digits than the cap is over it, and int() refuses 4300 digits
-    short = len(head.lstrip("0")) <= len(str(MAX_SIZE))
-    if not head.isdecimal() or (short and int(head) < 1):
+    try:
+        n = int(head) if head.isdecimal() else 0
+    except ValueError:  # int() refuses a size over its digit limit
+        raise IdealSyntaxError("matrix size has too many digits", 0) from None
+    if n < 1:
         raise IdealSyntaxError("matrix size must be a positive integer", 0)
-    if not short or int(head) > MAX_SIZE:
+    if n > MAX_SIZE:
         raise IdealSyntaxError(f"matrix size must be at most {MAX_SIZE}", 0)
     pairs = []
     offset = colon + 1
@@ -106,7 +108,7 @@ def parse_ideal_spec(text: str) -> IdealSpec:
             except ValueError:  # int() refuses a coordinate over its digit limit
                 raise IdealSyntaxError("pair coordinate has too many digits", start) from None
             offset += len(segment) + 1
-    return IdealSpec(int(head), tuple(pairs))
+    return IdealSpec(n, tuple(pairs))
 
 
 _SYMBOLS = {
@@ -357,8 +359,9 @@ def _load_form(path: str, ideal: PatternIdeal) -> LinearForm:
     import json
 
     with open(path, encoding="utf-8") as handle:
-        # objects load as (key, value) tuples, so a repeated key stays visible
-        raw = json.load(handle, object_pairs_hook=tuple)
+        # objects load as (key, value) tuples, so a repeated key stays visible;
+        # integers stay text, so one over int()'s digit limit fails at its key
+        raw = json.load(handle, object_pairs_hook=tuple, parse_int=str)
     if not isinstance(raw, tuple):
         raise ValueError('form file must hold one JSON object of "row,col": value entries')
     values = {}

@@ -60,11 +60,6 @@ class SkewMatrix(NamedTuple):
     dim: int
     rows: tuple[dict[int, int | Fraction], ...]
 
-    @property
-    def entries(self) -> tuple[tuple[int | Fraction, ...], ...]:
-        """The dense table, derived from the rows."""
-        return tuple(tuple(row.get(c, 0) for c in range(self.dim)) for row in self.rows)
-
 
 def skew_form_matrix(f: LinearForm, ideal: PatternIdeal) -> SkewMatrix:
     """The pairing table, from the brackets that can be nonzero.
@@ -92,13 +87,6 @@ def skew_form_matrix(f: LinearForm, ideal: PatternIdeal) -> SkewMatrix:
                 row[col] = -value
         rows.append(row)
     return SkewMatrix(len(rows), tuple(rows))
-
-
-def _sparse_rows(matrix) -> list[dict]:
-    """The nonzero rows {column: entry}: a SkewMatrix's own, or dense rows' nonzero cells."""
-    if isinstance(matrix, SkewMatrix):
-        return [row for row in matrix.rows if row]
-    return [row for row in ({c: x for c, x in enumerate(r) if x} for r in matrix) if row]
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -154,14 +142,12 @@ def _eliminate(rows: list[dict[int, int]], modulus: int = 0) -> int:
     return rank
 
 
-def exact_rank(matrix) -> int:
+def exact_rank(matrix: SkewMatrix) -> int:
     """Rank over the rationals, by fraction-free elimination on sparse rows.
 
-    Accepts a SkewMatrix, whose sparse rows are read as they are, or any
-    rectangular iterable of rational rows.  Each row's denominators are
-    cleared and its content divided out; `_eliminate` touches only the rows
-    that meet the pivot's column, and a skew form of ut(n)/m has at most
-    n - 2 nonzeros per row.
+    Each sparse row's denominators are cleared and its content divided
+    out; `_eliminate` touches only the rows that meet the pivot's column,
+    and a skew form of ut(n)/m has at most n - 2 nonzeros per row.
 
     Entry size.  Let M be the integer matrix the rows start as, P the rows
     taken as pivots so far and C their pivot columns.  A reduced row r is
@@ -173,12 +159,9 @@ def exact_rank(matrix) -> int:
     ±v / gcd(v), and each entry is at most a minor of M in absolute
     value: Hadamard's bound, as for Bareiss elimination.  Without the
     content division a row is only some multiple of v, with no bound.
-
-    On dense rows this costs more than a dense Bareiss sweep (about 1.5x
-    on random 80x80 rational matrices); no caller passes dense rows.
     """
     cleared = []
-    for row in _sparse_rows(matrix):
+    for row in matrix.rows:
         scale = lcm(*(x.denominator for x in row.values()))
         cleared.append(_primitive({c: x.numerator * (scale // x.denominator) for c, x in row.items()}))
     return _eliminate(cleared)
@@ -194,14 +177,13 @@ def _reduce(x) -> int:
     return x.numerator * pow(den, -1, _P) % _P
 
 
-def _modular_rank(matrix) -> int:
-    """Rank mod p of a SkewMatrix or of rational rows, by `_eliminate` over GF(p).
+def _modular_rank(matrix: SkewMatrix) -> int:
+    """Rank mod p of the matrix, by `_eliminate` over GF(p).
 
     A lower bound for the rank over Q (see the module docstring), equal to
     it unless p divides every maximal nonzero minor.
     """
-    rows = _sparse_rows(matrix)
-    return _eliminate([{c: r for c, x in row.items() if (r := _reduce(x))} for row in rows], _P)
+    return _eliminate([{c: r for c, x in row.items() if (r := _reduce(x))} for row in matrix.rows], _P)
 
 
 def index_oracle(
@@ -227,8 +209,8 @@ def index_oracle(
     return algebra.dim - best, best
 
 
-def _gradient(z: Polynomial, values: dict, columns: dict) -> list[int]:
-    """The gradient of z at a point, mod p, in one walk over z's terms.
+def _gradient(z: Polynomial, values: dict, columns: dict) -> dict[int, int]:
+    """The sparse gradient {column: nonzero residue} of z at a point, mod p, in one walk over z's terms.
 
     `values` maps each coordinate to its value mod p and `columns` to its
     position in the gradient.  For a term c * v_1^e_1 ... v_k^e_k, the
@@ -260,7 +242,7 @@ def _gradient(z: Polynomial, values: dict, columns: dict) -> list[int]:
             col, power, slope = rows[k]
             gradient[col] += prefix[k] * suffix * slope
             suffix = suffix * power % _P
-    return [g % _P for g in gradient]
+    return {c: r for c, g in enumerate(gradient) if (r := g % _P)}
 
 
 def jacobian_rank(zs: list[Polynomial], f: LinearForm) -> int:
@@ -271,7 +253,7 @@ def jacobian_rank(zs: list[Polynomial], f: LinearForm) -> int:
     in one walk over its z's terms; no partial derivative is built.
     """
     values = {pair: _reduce(v) for pair, v in f.values}
-    return _modular_rank(_gradient(z, values, f.algebra.columns) for z in zs)
+    return _eliminate([_gradient(z, values, f.algebra.columns) for z in zs], _P)
 
 
 def generic_jacobian_rank(

@@ -77,6 +77,9 @@ def test_parse_ideal_spec_errors():
         (f"{MAX_SIZE + 1}:", 0),
         ("1000:", 0),
         ("9" * 5000 + ":", 0),
+        # a size padded with zeros past int()'s digit limit, in and out of range
+        ("0" * 5000 + "7:", 0),
+        ("0" * 5000 + ":", 0),
     ]
     for text, position in cases:
         with pytest.raises(IdealSyntaxError) as info:
@@ -343,6 +346,9 @@ def test_orbit_dim_names_a_form_value_on_the_ideal(capsys, tmp_path):
             '{"' + "9" * 5000 + ',1": 1}', "coordinate key '" + "9" * 5000 + ",1' has too many digits",
             id="key-over-the-digit-limit",
         ),
+        pytest.param(
+            '{"2,1": ' + "9" * 5000 + "}", "for key '2,1' in form file", id="value-over-the-digit-limit"
+        ),
         # one sign at most: a doubled one is a bad key, not an int() failure
         ('{"--2,1": 1}', "bad coordinate key '--2,1' in form file"),
         ('{"2,--1": 1}', "bad coordinate key '2,--1' in form file"),
@@ -377,6 +383,8 @@ def test_bad_input_exits_2(capsys):
     # a coordinate int() refuses is bad input at its pair, not Python's own message
     assert dispatch(["index", "--ideal", "7: " + "9" * 5000 + ",1"]) == 2
     assert capsys.readouterr().err == "error: pair coordinate has too many digits (at position 3)\n"
+    assert dispatch(["index", "--ideal", "0" * 5000 + "7:"]) == 2
+    assert capsys.readouterr().err == "error: matrix size has too many digits (at position 0)\n"
 
 
 def test_argparse_failures_exit_2(capsys):

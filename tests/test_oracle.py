@@ -52,6 +52,16 @@ def form(ideal, values):
     )
 
 
+def sparse(rows):
+    """The matrix of the given dense rows, as a SkewMatrix of their nonzero cells."""
+    return SkewMatrix(len(rows), tuple({c: x for c, x in enumerate(row) if x} for row in rows))
+
+
+def dense(m):
+    """The dense table of a SkewMatrix, with a 0 for each cell its rows leave out."""
+    return tuple(tuple(row.get(c, 0) for c in range(m.dim)) for row in m.rows)
+
+
 # --- the pairing table --------------------------------------------------------
 
 
@@ -60,7 +70,7 @@ def test_skew_matrix_on_the_heisenberg_algebra():
     m = skew_form_matrix(f, UT3)
     assert m.dim == 3
     # basis order (3,1), (2,1), (3,2); only [y21, y32] = -y31 pairs nontrivially
-    assert m.entries == (
+    assert dense(m) == (
         (Fraction(0), Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(0), Fraction(-1)),
         (Fraction(0), Fraction(1), Fraction(0)),
@@ -104,7 +114,7 @@ def seeded_ideal(n, seed):
 def assert_skew_matches_all_pairs(ideal, seed):
     algebra = QuotientAlgebra.from_ideal(ideal)
     for f in (random_form(algebra, 1000, seed), rational_form(algebra, seed)):
-        entries = skew_form_matrix(f, ideal).entries
+        entries = dense(skew_form_matrix(f, ideal))
         reference = all_pairs_skew_entries(f, ideal)
         assert entries == reference, ideal
         assert [list(map(type, row)) for row in entries] == [
@@ -135,20 +145,21 @@ def test_skew_matrix_refuses_a_form_of_another_quotient():
 def test_skew_matrix_is_skew():
     f = random_form(QuotientAlgebra.from_ideal(EXAMPLE7), 50, 9)
     m = skew_form_matrix(f, EXAMPLE7)
+    entries = dense(m)
     for a in range(m.dim):
         for b in range(m.dim):
-            assert m.entries[a][b] == -m.entries[b][a]
+            assert entries[a][b] == -entries[b][a]
 
 
 # --- exact rank ------------------------------------------------------------------
 
 
 def test_rank_basics():
-    assert exact_rank([[0, 1], [-1, 0]]) == 2
-    assert exact_rank([[0, 0], [0, 0]]) == 0
-    assert exact_rank([]) == 0
-    assert exact_rank([[1, 2, 3], [2, 4, 6]]) == 1
-    assert exact_rank([[1, 2], [3, 4], [5, 6]]) == 2
+    assert exact_rank(sparse([[0, 1], [-1, 0]])) == 2
+    assert exact_rank(sparse([[0, 0], [0, 0]])) == 0
+    assert exact_rank(sparse([])) == 0
+    assert exact_rank(sparse([[1, 2, 3], [2, 4, 6]])) == 1
+    assert exact_rank(sparse([[1, 2], [3, 4], [5, 6]])) == 2
 
 
 def test_rank_clears_denominators():
@@ -156,8 +167,8 @@ def test_rank_clears_denominators():
         [Fraction(1, 2), Fraction(1, 3)],
         [Fraction(2, 3), Fraction(4, 9)],
     ]
-    assert exact_rank(rows) == 1
-    assert exact_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]) == 2
+    assert exact_rank(sparse(rows)) == 1
+    assert exact_rank(sparse([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]])) == 2
 
 
 def naive_rank(rows):
@@ -187,7 +198,7 @@ def int_matrices(draw):
 
 @given(int_matrices())
 def test_rank_matches_plain_elimination(rows):
-    assert exact_rank(rows) == naive_rank(rows)
+    assert exact_rank(sparse(rows)) == naive_rank(rows)
 
 
 @given(st.data())
@@ -204,23 +215,23 @@ def test_rank_matches_plain_elimination_on_rational_rows(data):
         ]
         for r in range(height)
     ]
-    assert exact_rank(rows) == naive_rank(rows)
+    assert exact_rank(sparse(rows)) == naive_rank(rows)
 
 
 def test_rank_of_tall_wide_and_zero_shapes():
-    assert exact_rank([[0, 0, 0]]) == 0
-    assert exact_rank([[0], [0], [Fraction(2, 3)], [0]]) == 1
-    assert exact_rank([[0, 1, 0, 0, 2], [0, 2, 0, 0, 4], [0, 0, 0, 0, 0]]) == 1
-    assert exact_rank([[1, 0], [0, 1], [1, 1], [Fraction(1, 2), 3]]) == 2
+    assert exact_rank(sparse([[0, 0, 0]])) == 0
+    assert exact_rank(sparse([[0], [0], [Fraction(2, 3)], [0]])) == 1
+    assert exact_rank(sparse([[0, 1, 0, 0, 2], [0, 2, 0, 0, 4], [0, 0, 0, 0, 0]])) == 1
+    assert exact_rank(sparse([[1, 0], [0, 1], [1, 1], [Fraction(1, 2), 3]])) == 2
 
 
 def test_rank_of_a_rational_form_on_the_full_algebra_in_bounded_time():
     ideal = validate_pattern_ideal(20, [])
     algebra = QuotientAlgebra.from_ideal(ideal)
-    rows = skew_form_matrix(rational_form(algebra, 20), ideal).entries
+    m = skew_form_matrix(rational_form(algebra, 20), ideal)
     start = time.perf_counter()
-    assert exact_rank(rows) == algebra.dim - 10
-    assert _modular_rank(rows) == algebra.dim - 10
+    assert exact_rank(m) == algebra.dim - 10
+    assert _modular_rank(m) == algebra.dim - 10
     assert time.perf_counter() - start < 2
 
 
@@ -239,16 +250,16 @@ def test_modular_rank_equals_exact_rank_on_every_small_ideal():
     for n in range(1, 8):
         for position, ideal in enumerate(enumerate_pattern_ideals(n)):
             f = random_form(QuotientAlgebra.from_ideal(ideal), 1000, counter_rand(n, position))
-            rows = skew_form_matrix(f, ideal).entries
-            assert _modular_rank(rows) == exact_rank(rows), ideal
+            m = skew_form_matrix(f, ideal)
+            assert _modular_rank(m) == exact_rank(m), ideal
 
 
 @pytest.mark.parametrize("n", [10, 12, 16])
 def test_modular_rank_equals_exact_rank_on_the_full_algebra(n):
     ideal = validate_pattern_ideal(n, [])
     f = random_form(QuotientAlgebra.from_ideal(ideal), 1000, n)
-    rows = skew_form_matrix(f, ideal).entries
-    assert _modular_rank(rows) == exact_rank(rows) == len(rows) - n // 2
+    m = skew_form_matrix(f, ideal)
+    assert _modular_rank(m) == exact_rank(m) == m.dim - n // 2
 
 
 @pytest.mark.parametrize("n", [12, 16, 20])
@@ -259,7 +270,7 @@ def test_sparse_modular_rank_equals_exact_rank_on_large_ideals(n):
         for f in (random_form(algebra, 1000, seed), rational_form(algebra, seed)):
             m = skew_form_matrix(f, ideal)
             rank = exact_rank(m)
-            assert _modular_rank(m) == _modular_rank(m.entries) == exact_rank(m.entries) == rank, ideal
+            assert _modular_rank(m) == rank, ideal
             if not ideal.members:
                 assert rank == algebra.dim - n // 2
 
@@ -269,13 +280,13 @@ def test_modular_rank_equals_exact_rank_on_rational_rows(data):
     height = data.draw(st.integers(1, 5))
     width = data.draw(st.integers(1, 5))
     entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
-    rows = [[data.draw(entry) for _ in range(width)] for _ in range(height)]
-    assert _modular_rank(rows) == exact_rank(rows)
+    m = sparse([[data.draw(entry) for _ in range(width)] for _ in range(height)])
+    assert _modular_rank(m) == exact_rank(m)
 
 
 def test_a_denominator_divisible_by_p_is_refused():
     with pytest.raises(ValueError):
-        _modular_rank([[Fraction(1, _P)]])
+        _modular_rank(sparse([[Fraction(1, _P)]]))
 
 
 IDEALS_UP_TO_5 = [ideal for n in range(2, 6) for ideal in enumerate_pattern_ideals(n)]
@@ -305,8 +316,8 @@ def test_gradient_walk_matches_the_partial_derivatives(case):
     basis = f.algebra.basis
     values = {pair: _reduce(v) for pair, v in f.values}
     columns = {pair: i for i, pair in enumerate(basis)}
-    expected = [_reduce(evaluate(partial_derivative(z, eta), f)) for eta in basis]
-    assert _gradient(z, values, columns) == expected
+    partials = [_reduce(evaluate(partial_derivative(z, eta), f)) for eta in basis]
+    assert _gradient(z, values, columns) == {c: x for c, x in enumerate(partials) if x}
 
 
 def test_gradient_shares_powers_across_terms():
@@ -331,7 +342,7 @@ def test_gradient_shares_powers_across_terms():
                     partial *= f.lookup.get(other, 0) ** k
             expected[columns[pair]] += partial
     values = {pair: _reduce(v) for pair, v in f.values}
-    assert _gradient(z, values, columns) == [_reduce(x) for x in expected]
+    assert _gradient(z, values, columns) == {c: r for c, x in enumerate(expected) if (r := _reduce(x))}
 
 
 def test_gradient_refuses_a_missing_coordinate_in_a_later_term():
@@ -409,6 +420,33 @@ def test_jacobian_rank_of_a_single_linear_invariant():
     f = form(UT3, {(2, 1): 0, (3, 1): 0, (3, 2): 0})
     assert jacobian_rank([y(3, 1)], f) == 1
     assert jacobian_rank([], f) == 0
+
+
+def exact_jacobian(zs, f):
+    """The Jacobian of the zs at f over Q, one evaluated partial derivative per cell."""
+    basis = f.algebra.basis
+    rows = tuple(
+        {c: x for c, eta in enumerate(basis) if (x := evaluate(partial_derivative(z, eta), f))}
+        for z in zs
+    )
+    return SkewMatrix(len(rows), rows)
+
+
+def test_jacobian_rank_equals_the_exact_rank_of_the_exact_jacobian_on_every_small_ideal():
+    # small rational entries: no nonzero minor of these Jacobians is a multiple of p
+    for n in range(1, 6):
+        for position, ideal in enumerate(enumerate_pattern_ideals(n)):
+            zs = build_invariants(build_diagram(ideal))
+            algebra = QuotientAlgebra.from_ideal(ideal)
+            for trial in range(2):
+                f = rational_form(algebra, counter_rand(n, position, trial))
+                assert jacobian_rank(zs, f) == exact_rank(exact_jacobian(zs, f)), ideal
+
+
+@given(gradient_cases())
+def test_jacobian_rank_equals_the_exact_rank_of_the_exact_jacobian(case):
+    z, f = case
+    assert jacobian_rank([z], f) == exact_rank(exact_jacobian([z], f))
 
 
 def test_generic_jacobian_matches_the_index():
