@@ -255,6 +255,7 @@ def run_verify(max_n: int, trials: int, seed: int, bound: int) -> tuple[dict, bo
             yield "diagram_oracle_agreement", (
                 f"diagram ({index}, {orbit_dim}) vs oracle ({oracle_index}, {oracle_rank})"
             )
+        running = "symbolic"  # the check an exception is filed under
         try:
             if n <= 5:
                 yield "symbolic", None
@@ -270,15 +271,17 @@ def run_verify(max_n: int, trials: int, seed: int, bound: int) -> tuple[dict, bo
                     invariants_mod.triangular_decompose(z, d.steps[idx - 1].xi, zs[: idx - 1])
             else:
                 zs = invariants_mod.build_invariants(d, check=False)
-            yield "invariance", None
+            running = "invariance"
+            yield running, None
             if not oracle_mod.invariance_oracle(zs, ideal, trials, case_seed):
                 yield "invariance", "an invariant moved under the coadjoint action"
-            yield "independence", None
+            running = "independence"
+            yield running, None
             jrank = oracle_mod.generic_jacobian_rank(zs, ideal, case_seed, bound)
             if jrank != len(zs):
                 yield "independence", f"jacobian rank {jrank}, expected {len(zs)}"
         except Exception as exc:  # noqa: BLE001 -- a bad invariant must fail the run, not kill it
-            yield "symbolic", repr(exc)
+            yield running, repr(exc)
 
     total = 0
     for n in range(2, max_n + 1):

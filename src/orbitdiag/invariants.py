@@ -81,7 +81,8 @@ class ThetaState(NamedTuple):
     images[(a,b)] is the original-variable expression of the step-level
     coordinate y[a,b]; keys are exactly the unfilled set B_step.  z_list
     holds the numerators extracted so far (z_1..z_step), which is also the
-    table the formal denominators refer to.
+    table the formal denominators refer to.  Started from the variables'
+    values in another ring (residues at a form), theta_step gives the z's there.
     """
 
     step: int
@@ -99,10 +100,7 @@ class RelationReport(NamedTuple):
 
 
 def initial_state(d: Diagram) -> ThetaState:
-    images = {
-        pair: LocalizedElement(Polynomial.variable(pair), {})
-        for pair in b_set(d, 0)
-    }
+    images = {pair: LocalizedElement(Polynomial.variable(pair)) for pair in b_set(d, 0)}
     return ThetaState(0, images, ())
 
 
@@ -202,7 +200,7 @@ def triangular_decompose(
         e = top_q.get(least, 0) - sum(e_k * tops[k - 1].get(least, 0) for k, e_k in exponents.items())
         if e > 0:
             exponents[j] = e
-    product = Polynomial.constant(1)
+    product = 1
     for factor in sorted((earlier[j - 1] ** e for j, e in exponents.items()), key=lambda w: len(w.terms)):
         product = product * factor
     if product != q:
@@ -252,8 +250,7 @@ def verify_relations(prev: ThetaState, d: Diagram, i: int) -> RelationReport:
     q = {pair.row: loc_divide(prev.images[pair], pivot, z_table) for pair in rec.plus}
     if set(p) != set(q):
         raise InconsistentStateError("minus and plus cells do not pair up by middle index")
-    one = LocalizedElement(Polynomial.constant(1), {})
-    zero = LocalizedElement(Polynomial.zero(), {})
+    one, zero = LocalizedElement(1), LocalizedElement(0)
     survivors = b_set(d, i)
     middles = sorted(p)
 

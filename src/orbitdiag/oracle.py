@@ -145,9 +145,10 @@ def _eliminate(rows: list[dict[int, int]], modulus: int = 0) -> int:
 def exact_rank(matrix: SkewMatrix) -> int:
     """Rank over the rationals, by fraction-free elimination on sparse rows.
 
-    Each sparse row's denominators are cleared and its content divided
-    out; `_eliminate` touches only the rows that meet the pivot's column,
-    and a skew form of ut(n)/m has at most n - 2 nonzeros per row.
+    Each sparse row's explicit zeros are dropped, its denominators cleared
+    and its content divided out; `_eliminate` touches only the rows that
+    meet the pivot's column, and a skew form of ut(n)/m has at most n - 2
+    nonzeros per row.
 
     Entry size.  Let M be the integer matrix the rows start as, P the rows
     taken as pivots so far and C their pivot columns.  A reduced row r is
@@ -163,7 +164,7 @@ def exact_rank(matrix: SkewMatrix) -> int:
     cleared = []
     for row in matrix.rows:
         scale = lcm(*(x.denominator for x in row.values()))
-        cleared.append(_primitive({c: x.numerator * (scale // x.denominator) for c, x in row.items()}))
+        cleared.append(_primitive({c: x.numerator * (scale // x.denominator) for c, x in row.items() if x}))
     return _eliminate(cleared)
 
 

@@ -132,9 +132,6 @@ class Polynomial:
     def variable(cls, pair) -> "Polynomial":
         return cls({((Pair(*pair), 1),): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -201,8 +198,8 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.constant(1)
-        for _ in range(e):
+        result = self if e else Polynomial.constant(1)
+        for _ in range(e - 1):
             result = result * self
         return result
 
@@ -308,7 +305,7 @@ def canonical_string(p: Polynomial) -> str:
     within one monomial the variables print in ascending (row, col) order.
     Unit coefficients and unit exponents are omitted.
     """
-    if p.is_zero():
+    if not p:
         return "0"
     # one key per term; (col, -row) is succ_key flattened into the entry
     order = sorted(
@@ -495,16 +492,18 @@ def _walk(text: str) -> Polynomial:
 class LocalizedElement(namedtuple("LocalizedElement", "num den")):
     """numerator / prod z_j^{e_j}; the z's are supplied separately as a table.
 
-    The numerator is a Polynomial.  The exponents are a Counter {j: e_j}
-    copied from any map (none means no denominator), zeros dropped and a
-    negative exponent refused, by `_replace` too.  Arithmetic never cancels
-    common factors, so equality of representations is only sufficient, and
-    loc_equal (cross multiplication) is the semantic test.
+    The numerator is in any commutative ring with integer scalars (a
+    polynomial, an int, a value at a point): the loc_* functions need only
+    +, * (by ring elements and ints), **, == and bool.  The exponents are a
+    Counter {j: e_j} copied from any map (none means no denominator), zeros
+    dropped and a negative exponent refused, by `_replace` too.  Arithmetic
+    never cancels common factors, so equality of representations is only
+    sufficient, and loc_equal (cross multiplication) is the semantic test.
     """
 
     __slots__ = ()
 
-    def __new__(cls, num: Polynomial, den: dict | None = None):
+    def __new__(cls, num, den: dict | None = None):
         if den and min(den.values()) < 0:
             raise ValueError(f"negative exponent in the denominator {dict(den)}")
         return tuple.__new__(cls, (num, Counter({j: e for j, e in (den or {}).items() if e})))
@@ -514,9 +513,10 @@ class LocalizedElement(namedtuple("LocalizedElement", "num den")):
         return cls(*iterable)
 
 
-def expand_denominator(den: dict, z_table) -> Polynomial:
-    """The formal denominator as an explicit polynomial (z_table[j-1] = z_j)."""
-    result = Polynomial.constant(1)
+def expand_denominator(den: dict, z_table):
+    """The formal denominator as a ring element (z_table[j-1] = z_j); the
+    empty product is the integer 1."""
+    result = 1
     for j in sorted(den):
         result = result * (z_table[j - 1] ** den[j])
     return result
@@ -524,10 +524,8 @@ def expand_denominator(den: dict, z_table) -> Polynomial:
 
 def loc_add(a: LocalizedElement, b: LocalizedElement, z_table) -> LocalizedElement:
     den = a.den | b.den
-    num = a.num * expand_denominator(den - a.den, z_table) + b.num * expand_denominator(
-        den - b.den, z_table
-    )
-    return LocalizedElement(num, den)
+    num = a.num * expand_denominator(den - a.den, z_table)
+    return LocalizedElement(num + b.num * expand_denominator(den - b.den, z_table), den)
 
 
 def loc_sub(a: LocalizedElement, b: LocalizedElement, z_table) -> LocalizedElement:
@@ -561,8 +559,8 @@ def loc_equal(a: LocalizedElement, b: LocalizedElement, z_table) -> bool:
     A denominator is a product of nonzero z's, so a side with a zero
     numerator equals the other exactly when that numerator is zero too.
     """
-    if a.num.is_zero() or b.num.is_zero():
-        return a.num.is_zero() and b.num.is_zero()
+    if not a.num or not b.num:
+        return not a.num and not b.num
     return a.num * expand_denominator(b.den, z_table) == b.num * expand_denominator(a.den, z_table)
 
 

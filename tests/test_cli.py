@@ -221,6 +221,23 @@ def test_run_verify_survives_a_crashing_builder(monkeypatch):
     assert any("boom" in f for f in report["checks"]["symbolic"]["failures"])
 
 
+@pytest.mark.parametrize(
+    "check, oracle", [("invariance", "invariance_oracle"), ("independence", "generic_jacobian_rank")]
+)
+def test_run_verify_files_a_raising_oracle_under_its_own_check(monkeypatch, check, oracle):
+    def explode(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(oracle_mod, oracle, explode)
+    report, passed = run_verify(6, 2, 1, 1000)
+    assert not passed
+    checks = report["checks"]
+    assert checks[check]["checked"] == len(checks[check]["failures"]) == 195
+    assert all(f.endswith(": RuntimeError('boom')") for f in checks[check]["failures"])
+    assert (checks["symbolic"]["checked"], checks["symbolic"]["failures"]) == (63, [])
+    assert not any(block["failures"] for name, block in checks.items() if name != check)
+
+
 def test_verify_failures_name_their_case_seed(monkeypatch):
     calls = []
 

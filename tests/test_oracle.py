@@ -1,6 +1,7 @@
 """Brute-force oracles: skew-form ranks, Jacobians, invariance under the action."""
 
 import logging
+import random
 import time
 from fractions import Fraction
 
@@ -223,6 +224,26 @@ def test_rank_of_tall_wide_and_zero_shapes():
     assert exact_rank(sparse([[0], [0], [Fraction(2, 3)], [0]])) == 1
     assert exact_rank(sparse([[0, 1, 0, 0, 2], [0, 2, 0, 0, 4], [0, 0, 0, 0, 0]])) == 1
     assert exact_rank(sparse([[1, 0], [0, 1], [1, 1], [Fraction(1, 2), 3]])) == 2
+
+
+def test_rank_drops_explicit_zeros():
+    # SkewMatrix takes any sparse rows; a zero a caller stores is no entry
+    assert exact_rank(SkewMatrix(3, ({}, {0: 0, 1: -1}, {1: 2, 2: 0}))) == 1
+    assert exact_rank(SkewMatrix(1, ({0: 0},))) == 0
+
+
+def test_rank_with_explicit_zeros_matches_the_rows_without_them():
+    rng = random.Random(7)
+    entries = [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    for _ in range(5000):
+        size = rng.randint(1, 5)
+        rows = tuple(
+            {c: rng.choice(entries) for c in sorted(rng.sample(range(size), rng.randint(0, size)))}
+            for _ in range(size)
+        )
+        m = SkewMatrix(size, rows)
+        without = SkewMatrix(size, tuple({c: x for c, x in row.items() if x} for row in rows))
+        assert exact_rank(m) == exact_rank(without) == naive_rank(dense(m)), rows
 
 
 def test_rank_of_a_rational_form_on_the_full_algebra_in_bounded_time():
