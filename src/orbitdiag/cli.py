@@ -363,8 +363,9 @@ def _load_form(path: str, ideal: PatternIdeal) -> LinearForm:
 
     with open(path, encoding="utf-8") as handle:
         # objects load as (key, value) tuples, so a repeated key stays visible;
-        # integers stay text, so one over int()'s digit limit fails at its key
-        raw = json.load(handle, object_pairs_hook=tuple, parse_int=str)
+        # numbers stay text, so Fraction reads each literal exactly and one
+        # over int()'s digit limit fails at its key
+        raw = json.load(handle, object_pairs_hook=tuple, parse_int=str, parse_float=str)
     if not isinstance(raw, tuple):
         raise ValueError('form file must hold one JSON object of "row,col": value entries')
     values = {}
@@ -378,11 +379,30 @@ def _load_form(path: str, ideal: PatternIdeal) -> LinearForm:
             raise ValueError(f"coordinate key {key!r} has too many digits in form file") from None
         if pair in values:
             raise ValueError(f"key {key!r} repeats coordinate {pair.row},{pair.col} in form file")
+        text = str(value)
         try:
-            values[pair] = Fraction(str(value))
+            # Fraction builds the power 10**e of an exponent e, which takes
+            # seconds at e = 10**7: past int()'s digit limit (0 is none) it is bad input
+            exponent = text.lower().partition("e")[2]
+            if exponent and abs(int(exponent)) > sys.get_int_max_str_digits() > 0:
+                raise ValueError
+            values[pair] = Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad value {value!r} for key {key!r} in form file") from None
     return LinearForm.from_dict(QuotientAlgebra.from_ideal(ideal), values)
+
+
+def _oracle(ideal: PatternIdeal, args) -> tuple[int, int]:
+    from . import oracle as oracle_mod
+
+    return oracle_mod.index_oracle(ideal, args.trials, args.bound, args.seed)
+
+
+def _invariant_strings(d: Diagram, check: bool) -> list[str]:
+    from . import invariants as invariants_mod
+    from .polyring import canonical_string
+
+    return [canonical_string(z) for z in invariants_mod.build_invariants(d, check=check)]
 
 
 def _run(args) -> int:
@@ -401,46 +421,28 @@ def _run(args) -> int:
             # the oracle first: it refuses bad knobs before a walk that can run long
             oracle_report = None
             if args.oracle:
-                from . import oracle as oracle_mod
-
-                oracle_index, oracle_rank = oracle_mod.index_oracle(
-                    ideal, args.trials, args.bound, args.seed
-                )
+                oracle_index, oracle_rank = _oracle(ideal, args)
                 oracle_report = {
                     "index": oracle_index,
                     "generic_rank": oracle_rank,
                     "trials": args.trials,
                     "seed": args.seed,
                 }
-            from . import invariants as invariants_mod
-            from .polyring import canonical_string
-
-            strings = [
-                canonical_string(z)
-                for z in invariants_mod.build_invariants(d, check=False)
-            ]
-            print(emit_json(make_bundle(d, strings, oracle_report)))
+            print(emit_json(make_bundle(d, _invariant_strings(d, check=False), oracle_report)))
         else:
             print(render_diagram(d, args.style, steps=args.steps))
         return 0
     if args.command == "index":
         value = index_of(d)
         if args.oracle:
-            from . import oracle as oracle_mod
-
-            oracle_index, oracle_rank = oracle_mod.index_oracle(
-                ideal, args.trials, args.bound, args.seed
-            )
+            oracle_index, oracle_rank = _oracle(ideal, args)
             print(f"index={value} oracle={oracle_index} rank={oracle_rank}")
             return 0 if oracle_index == value else 1
         print(f"index={value}")
         return 0
     if args.command == "invariants":
-        from . import invariants as invariants_mod
-        from .polyring import canonical_string
-
-        for z in invariants_mod.build_invariants(d, check=args.check):
-            print(canonical_string(z))
+        for line in _invariant_strings(d, check=args.check):
+            print(line)
         return 0
     if args.command == "orbit-dim":
         if args.form is not None:

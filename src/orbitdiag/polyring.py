@@ -121,10 +121,6 @@ class Polynomial:
         }
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
     def constant(cls, c) -> "Polynomial":
         return cls({ONE: c})
 
@@ -338,37 +334,33 @@ def canonical_string(p: Polynomial) -> str:
 
 # One whole term: an optional sign, then factors joined by '*', then the
 # whitespace up to the next sign or the end.  A number factor is followed only
-# by '*', a sign or the end, so it always spans the token the walker reads.
+# by '*', a sign or the end, so it always spans the token `_tokens` reads.
 # The patterns are compiled on first use, through re's own cache, so that a
 # process which only prints polynomials does not pay for them.
 _FACTOR = r"y\[\s*\d+\s*,\s*\d+\s*\](?:\s*\^\s*\d+)?|\d+(?:/\d+)?"
 _TERM = rf"\s*(?:([+-])\s*)?((?:{_FACTOR})(?:\s*\*\s*(?:{_FACTOR}))*)\s*(?=[+-]|\Z)"
-_VAR = r"y\[\s*(\d+)\s*,\s*(\d+)\s*\](?:\s*\^\s*(\d+))?"
 
 
 def _factor(text: str):
-    """A factor string as a number, or as (pair, exponent); None where the
-    walker reports an error (a position off the lower triangle, a zero
-    denominator, a number over int's digit limit)."""
-    var = re.fullmatch(_VAR, text)
+    """A factor string, read through `_tokens`, as a number or as (pair,
+    exponent); None where `_tokens` refuses one of its tokens."""
     try:
-        if var is None:
-            return _exact(text) if "/" in text else int(text)
-        row, col, e = (int(digits or 1) for digits in var.groups())  # no exponent is ^1
-    except (ValueError, ZeroDivisionError):
+        (kind, value, _), *rest = _tokens(text)
+    except PolynomialSyntaxError:
         return None
-    if not row > col >= 1:
-        return None
+    if kind != "var":
+        return value
+    e = rest[1][1] if rest[0][0] == "^" else 1
     # y^0 is the number 1, so a term's exponents are never zero
-    return (Pair(row, col), e) if e else 1
+    return (value, e) if e else 1
 
 
 def parse_polynomial(text: str) -> Polynomial:
     """Inverse of canonical_string (tolerant about whitespace).
 
     Read a whole term per match, each distinct factor string converted once;
-    any text this stricter pass does not take is read by `_walk`, which
-    reports the first error in reading order with its position.
+    on any text this pass does not take, `_first_error` raises the first
+    error in reading order with its position.
     """
     term, factors = re.compile(_TERM), re.compile(_FACTOR)
     total: dict = {}
@@ -377,10 +369,10 @@ def parse_polynomial(text: str) -> Polynomial:
     while True:
         match = term.match(text, pos)
         if match is None:
-            return _walk(text)
+            _first_error(text)
         sign, body = match.groups()
         if sign == "+" and not pos:  # the text form never starts with '+'
-            return _walk(text)
+            _first_error(text)
         coeff = -1 if sign == "-" else 1
         exponents: dict = {}
         for piece in factors.findall(body):
@@ -388,7 +380,7 @@ def parse_polynomial(text: str) -> Polynomial:
             if value is None:
                 value = seen[piece] = _factor(piece)
                 if value is None:
-                    return _walk(text)
+                    _first_error(text)
             if type(value) is tuple:
                 pair, e = value
                 exponents[pair] = exponents.get(pair, 0) + e
@@ -438,28 +430,22 @@ def _tokens(text: str):
         yield kind, value, start
 
 
-def _walk(text: str) -> Polynomial:
-    """The token-by-token reading of parse_polynomial, in one pass; of
-    several errors the first in reading order is reported."""
+def _first_error(text: str):
+    """Walk the tokens of a text the term pass refused through the grammar,
+    and raise its first error in reading order; it always raises."""
     tokens = _tokens(text)
     kind, value, pos = next(tokens)
     if kind == "end":
         raise PolynomialSyntaxError("empty input", 0)
     if kind == "+":
         raise PolynomialSyntaxError("unexpected leading '+'", pos)
-    total: dict = {}
     while True:
-        coeff = 1
         if kind in ("+", "-"):
-            coeff = -1 if kind == "-" else 1
             kind, value, pos = next(tokens)
-        exponents: dict = {}
         while True:
             if kind in ("num", "ratio"):
-                coeff *= value
                 kind, value, pos = next(tokens)
             elif kind == "var":
-                pair, e = value, 1
                 kind, value, pos = next(tokens)
                 if kind == "^":
                     caret = pos
@@ -468,9 +454,7 @@ def _walk(text: str) -> Polynomial:
                         raise PolynomialSyntaxError("dangling '^'", caret)
                     if kind != "num":
                         raise PolynomialSyntaxError("exponent must be an integer", pos)
-                    e = value
                     kind, value, pos = next(tokens)
-                exponents[pair] = exponents.get(pair, 0) + e
             elif kind == "end":
                 raise PolynomialSyntaxError("incomplete term", pos)
             else:
@@ -478,10 +462,8 @@ def _walk(text: str) -> Polynomial:
             if kind != "*":
                 break
             kind, value, pos = next(tokens)
-        monomial = tuple(sorted(item for item in exponents.items() if item[1]))
-        total[monomial] = total.get(monomial, 0) + coeff
         if kind == "end":
-            return Polynomial(total)
+            raise ConsistencyError(f"the term pass refused {text!r}, which reads as a polynomial")
         if kind not in ("+", "-"):
             raise PolynomialSyntaxError("expected '+' or '-' between terms", pos)
 

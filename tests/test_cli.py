@@ -7,6 +7,8 @@ import re
 import shlex
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -347,6 +349,49 @@ def test_orbit_dim_names_a_form_value_on_the_ideal(capsys, tmp_path):
     path.write_text(json.dumps({"5,1": "1/2"}))
     assert dispatch(["orbit-dim", "--ideal", EXAMPLE_SPEC, "--form", str(path)]) == 2
     assert capsys.readouterr().err == "error: pair (5, 1) lies in the ideal, where every form vanishes\n"
+
+
+def test_orbit_dim_reads_a_tiny_form_number_as_nonzero(capsys, tmp_path):
+    # a float literal is read from its own text, not rounded through a binary float
+    path = tmp_path / "form.json"
+    path.write_text('{"3,1": 1e-400}')
+    assert dispatch(["orbit-dim", "--ideal", "3:", "--form", str(path)]) == 0
+    assert capsys.readouterr().out == "rank=2\n"
+
+
+@pytest.mark.parametrize(
+    "literal, value",
+    [
+        ("0.30000000000000000001", Fraction(30000000000000000001, 10**20)),
+        ("1e400", 10**400),
+        ('"1e-5"', Fraction(1, 100000)),
+        ("-7", -7),
+        ('"-3/6"', Fraction(-1, 2)),
+    ],
+    ids=["long-decimal", "past-float-range", "exponent-in-a-string", "int", "ratio"],
+)
+def test_form_numbers_load_exactly(tmp_path, literal, value):
+    path = tmp_path / "form.json"
+    path.write_text('{"3,1": %s}' % literal)
+    assert cli_mod._load_form(str(path), validate_pattern_ideal(3, [])).lookup == {Pair(3, 1): value}
+
+
+@pytest.mark.parametrize("literal", ['"1e999999999"', "1e999999999", '"-1E-999999999"'])
+def test_orbit_dim_refuses_a_form_exponent_past_the_digit_limit_at_once(capsys, tmp_path, literal):
+    # first in a child process under a timeout: without the bound, Fraction
+    # would spend far longer building the power of ten than the suite can wait
+    path = tmp_path / "form.json"
+    path.write_text('{"3,1": %s}' % literal)
+    argv = ["orbit-dim", "--ideal", "3:", "--form", str(path)]
+    result = subprocess.run(
+        [sys.executable, "-m", "orbitdiag", *argv], capture_output=True, text=True, check=False, timeout=20
+    )
+    assert result.returncode == 2
+    assert "for key '3,1' in form file" in result.stderr
+    start = time.perf_counter()
+    assert dispatch(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == result.stderr
 
 
 @pytest.mark.parametrize(

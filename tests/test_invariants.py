@@ -260,7 +260,7 @@ def test_triangular_rejects_bad_shapes():
         triangular_decompose(2 * y(3, 1), Pair(3, 1), [Polynomial.constant(2)])
     assert "product" in info.value.reason
     assert info.value.witness == Polynomial.constant(2)
-    assert triangular_decompose(y(3, 1), Pair(3, 1), [Polynomial.zero()]) == ({}, Polynomial.zero())
+    assert triangular_decompose(y(3, 1), Pair(3, 1), [Polynomial()]) == ({}, Polynomial())
 
     with pytest.raises(NotTriangularError) as info:
         triangular_decompose(y(3, 1) + y(2, 1), Pair(3, 1), ())
@@ -457,7 +457,7 @@ def reference_poisson_bracket(a, b, ideal):
     """{a, b} = sum of [y_alpha, y_beta] * da/dy_alpha * db/dy_beta over the
     variables of a and b; brackets landing in the ideal vanish."""
     b_vars = b.variables()
-    total = Polynomial.zero()
+    total = Polynomial()
     for alpha in a.variables():
         da = None
         for beta in b_vars:
@@ -526,7 +526,7 @@ def test_generator_centrality_matches_every_coordinate():
         ideal = data.draw(st.sampled_from(IDEALS_UP_TO_6))
         zs = invariants_of(ideal)
         basis = QuotientAlgebra.from_ideal(ideal).basis
-        p = Polynomial.zero()
+        p = Polynomial()
         for _ in range(data.draw(st.integers(0, 3))):
             c = data.draw(st.integers(-3, 3))
             p = p + c * data.draw(st.sampled_from(zs)) ** data.draw(st.integers(0, 2))

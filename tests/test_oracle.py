@@ -318,7 +318,7 @@ def gradient_cases(draw):
     ideal = draw(st.sampled_from(IDEALS_UP_TO_5))
     algebra = QuotientAlgebra.from_ideal(ideal)
     variables = list(algebra.basis)
-    z = Polynomial.zero()
+    z = Polynomial()
     for _ in range(draw(st.integers(0, 4))):
         term = Polynomial.constant(Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4))))
         if variables:

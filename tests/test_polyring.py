@@ -55,7 +55,7 @@ monomials = st.dictionaries(st.sampled_from(VARS4), st.integers(1, 2), max_size=
 
 @st.composite
 def polynomials(draw):
-    total = Polynomial.zero()
+    total = Polynomial()
     for _ in range(draw(st.integers(0, 3))):
         term = Polynomial.constant(draw(coefficients))
         for pair, exp in draw(monomials).items():
@@ -71,7 +71,7 @@ def test_basic_arithmetic():
     assert (y(2, 1) + y(3, 1)) + (-y(2, 1)) == y(3, 1)
     assert y(2, 1) * y(2, 1) == y(2, 1) ** 2
     assert Fraction(1, 2) * (2 * y(3, 1)) == y(3, 1)
-    assert y(2, 1) - y(2, 1) == Polynomial.zero()
+    assert y(2, 1) - y(2, 1) == Polynomial()
     assert not (y(2, 1) - y(2, 1))
 
 
@@ -86,7 +86,7 @@ def test_ring_operations_store_integral_results_as_int():
 
 
 def test_degrees():
-    assert Polynomial.zero().degree() == -1
+    assert Polynomial().degree() == -1
     assert Polynomial.constant(5).degree() == 0
     p = y(3, 2) * y(4, 1) ** 2 + y(2, 1)
     assert p.degree() == 3
@@ -101,7 +101,7 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a + Polynomial.zero() == a
+    assert a + Polynomial() == a
     assert a * Polynomial.constant(1) == a
 
 
@@ -150,29 +150,29 @@ def test_product_matches_term_by_term_reference(a, b):
 
 def test_partial_derivative():
     assert partial_derivative(y(3, 2) * y(4, 1), Pair(4, 1)) == y(3, 2)
-    assert partial_derivative(y(2, 1), Pair(3, 1)) == Polynomial.zero()
+    assert partial_derivative(y(2, 1), Pair(3, 1)) == Polynomial()
     assert partial_derivative(y(2, 1) ** 3, Pair(2, 1)) == 3 * y(2, 1) ** 2
 
 
 def test_bracket_on_generators():
     assert poisson_bracket(y(3, 2), y(2, 1), UT3) == y(3, 1)
     assert poisson_bracket(y(2, 1), y(3, 2), UT3) == -y(3, 1)
-    assert poisson_bracket(y(3, 1), y(2, 1), UT3) == Polynomial.zero()
+    assert poisson_bracket(y(3, 1), y(2, 1), UT3) == Polynomial()
 
 
 def test_bracket_of_determinant_with_generator():
     det = y(3, 2) * y(4, 1) - y(3, 1) * y(4, 2)
-    assert poisson_bracket(det, y(2, 1), UT4) == Polynomial.zero()
+    assert poisson_bracket(det, y(2, 1), UT4) == Polynomial()
 
 
 def test_bracket_respects_the_ideal():
     ideal = validate_pattern_ideal(3, [(3, 1)])
-    assert poisson_bracket(y(3, 2), y(2, 1), ideal) == Polynomial.zero()
+    assert poisson_bracket(y(3, 2), y(2, 1), ideal) == Polynomial()
 
 
 @given(polynomials(), polynomials(), polynomials())
 def test_bracket_is_a_biderivation(a, b, c):
-    assert poisson_bracket(a, a, UT4) == Polynomial.zero()
+    assert poisson_bracket(a, a, UT4) == Polynomial()
     assert poisson_bracket(a, b, UT4) == -poisson_bracket(b, a, UT4)
     assert poisson_bracket(a * b, c, UT4) == (
         a * poisson_bracket(b, c, UT4) + poisson_bracket(a, c, UT4) * b
@@ -186,12 +186,12 @@ def test_bracket_jacobi(a, b, c):
         + poisson_bracket(b, poisson_bracket(c, a, UT4), UT4)
         + poisson_bracket(c, poisson_bracket(a, b, UT4), UT4)
     )
-    assert total == Polynomial.zero()
+    assert total == Polynomial()
 
 
 def reference_bracket(a, b, ideal):
     """The Leibniz rule term by term: every term pair, every variable pair."""
-    total = Polynomial.zero()
+    total = Polynomial()
     for mu, cu in a.terms.items():
         for mv, cv in b.terms.items():
             for alpha, ea in mu:
@@ -214,7 +214,7 @@ IDEALS_UP_TO_5 = [ideal for n in range(2, 6) for ideal in enumerate_pattern_idea
 
 @st.composite
 def quotient_polynomials(draw, variables):
-    total = Polynomial.zero()
+    total = Polynomial()
     for _ in range(draw(st.integers(0, 4))):
         term = Polynomial.constant(Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))))
         if variables:
@@ -299,7 +299,7 @@ def test_canonical_examples():
     assert canonical_string(y(3, 2) * y(4, 1) - y(3, 1) * y(4, 2)) == (
         "y[3,2]*y[4,1] - y[3,1]*y[4,2]"
     )
-    assert canonical_string(Polynomial.zero()) == "0"
+    assert canonical_string(Polynomial()) == "0"
     assert canonical_string(2 * y(2, 1)) == "2*y[2,1]"
     assert canonical_string(-y(2, 1)) == "-y[2,1]"
     assert canonical_string(Fraction(1, 2) * y(2, 1)) == "1/2*y[2,1]"
@@ -328,7 +328,7 @@ def reference_term_order(m):
 def polynomials_with_ties(draw):
     """Terms of equal degree over few variables, a variable repeated within a
     term, and Fraction coefficients."""
-    total = Polynomial.zero()
+    total = Polynomial()
     for _ in range(draw(st.integers(0, 8))):
         term = Polynomial.constant(draw(st.fractions(-3, 3, max_denominator=4)))
         for pair in draw(st.lists(st.sampled_from(VARS4), max_size=draw(st.sampled_from([0, 2, 2, 3])))):
@@ -408,9 +408,64 @@ def test_parse_rejects_what_the_text_form_never_writes(text, position, message):
     assert info.value.position == position
 
 
+# --- the token walker, as reference code -------------------------------------------
+#
+# The library reads a whole term per match and walks the tokens only to locate
+# the first error of a text it refuses; the reference reads every text token by
+# token, building its terms as it goes.
+
+
+def reference_walk(text):
+    """The token-by-token reading of parse_polynomial, in one pass; of
+    several errors the first in reading order is reported."""
+    tokens = polyring._tokens(text)
+    kind, value, pos = next(tokens)
+    if kind == "end":
+        raise PolynomialSyntaxError("empty input", 0)
+    if kind == "+":
+        raise PolynomialSyntaxError("unexpected leading '+'", pos)
+    total: dict = {}
+    while True:
+        coeff = 1
+        if kind in ("+", "-"):
+            coeff = -1 if kind == "-" else 1
+            kind, value, pos = next(tokens)
+        exponents: dict = {}
+        while True:
+            if kind in ("num", "ratio"):
+                coeff *= value
+                kind, value, pos = next(tokens)
+            elif kind == "var":
+                pair, e = value, 1
+                kind, value, pos = next(tokens)
+                if kind == "^":
+                    caret = pos
+                    kind, value, pos = next(tokens)
+                    if kind == "end":
+                        raise PolynomialSyntaxError("dangling '^'", caret)
+                    if kind != "num":
+                        raise PolynomialSyntaxError("exponent must be an integer", pos)
+                    e = value
+                    kind, value, pos = next(tokens)
+                exponents[pair] = exponents.get(pair, 0) + e
+            elif kind == "end":
+                raise PolynomialSyntaxError("incomplete term", pos)
+            else:
+                raise PolynomialSyntaxError(f"unexpected '{value}'", pos)
+            if kind != "*":
+                break
+            kind, value, pos = next(tokens)
+        monomial = tuple(sorted(item for item in exponents.items() if item[1]))
+        total[monomial] = total.get(monomial, 0) + coeff
+        if kind == "end":
+            return Polynomial(total)
+        if kind not in ("+", "-"):
+            raise PolynomialSyntaxError("expected '+' or '-' between terms", pos)
+
+
 # int() refuses a literal of more than 4300 digits, its default limit: a number,
 # a ratio, an exponent or a position that long is a syntax error at its token,
-# from the term pass and from the walker alike
+# from the term pass and from the reference walker alike
 LONG = "1" * 5000
 
 
@@ -419,7 +474,7 @@ LONG = "1" * 5000
     [(LONG + "*y[2,1]", 0), ("y[2,1] - 3/" + LONG, 9), ("y[2,1]^" + LONG, 7), ("y[3,1]*y[" + LONG + ",1]", 7)],
 )
 def test_parse_refuses_a_literal_over_the_digit_limit(text, position):
-    for parse in (parse_polynomial, polyring._walk):
+    for parse in (parse_polynomial, reference_walk):
         with pytest.raises(PolynomialSyntaxError, match="number has too many digits") as info:
             parse(text)
         assert info.value.position == position
@@ -477,9 +532,15 @@ def polynomial_texts(draw):
 @settings(max_examples=500)
 @given(st.one_of(st.lists(st.sampled_from(WALKER_ALPHABET), max_size=16).map("".join), polynomial_texts()))
 def test_term_parser_agrees_with_the_token_walker(text):
-    # the term-at-a-time reading gives the walker's terms and coefficient
-    # types, or hands the text to the walker for its message and position
-    assert parse_outcome(parse_polynomial, text) == parse_outcome(polyring._walk, text)
+    # the term-at-a-time reading gives the reference walker's terms and
+    # coefficient types, or its message and position
+    assert parse_outcome(parse_polynomial, text) == parse_outcome(reference_walk, text)
+
+
+def test_first_error_refuses_to_pass_a_text_that_reads():
+    # the term pass takes every polynomial text, so reaching the end here is a bug
+    with pytest.raises(ConsistencyError, match="reads as a polynomial"):
+        polyring._first_error("2*y[2,1] - 1/3")
 
 
 # --- localized elements -------------------------------------------------------------
@@ -547,7 +608,7 @@ def cross_multiplied(a, b, table):
 
 
 LOC_TABLE = (y(4, 1), y(3, 2))
-ZERO_OVER_Z1 = LocalizedElement(Polynomial.zero(), {1: 2})
+ZERO_OVER_Z1 = LocalizedElement(Polynomial(), {1: 2})
 LOC_EQUAL_CASES = [
     # the identities above, nonzero on both sides
     (LocalizedElement(y(4, 1) * y(3, 2), {1: 1}), plain(y(3, 2))),
@@ -555,8 +616,8 @@ LOC_EQUAL_CASES = [
     (LocalizedElement(y(2, 1) * y(3, 2), {1: 1, 2: 1}), plain(y(2, 1))),
     (plain(Polynomial.constant(1)), plain(Polynomial.constant(1))),
     # a zero numerator on one side or both, as relation identities end
-    (ZERO_OVER_Z1, plain(Polynomial.zero())),
-    (ZERO_OVER_Z1, LocalizedElement(Polynomial.zero(), {1: 1, 2: 3})),
+    (ZERO_OVER_Z1, plain(Polynomial())),
+    (ZERO_OVER_Z1, LocalizedElement(Polynomial(), {1: 1, 2: 3})),
     (ZERO_OVER_Z1, LocalizedElement(y(2, 1), {2: 1})),
     (plain(y(3, 1) - y(3, 1)), plain(Polynomial.constant(1))),
 ]
@@ -580,7 +641,7 @@ def test_loc_equal_expands_no_denominator_when_a_side_is_zero(monkeypatch):
         raise AssertionError("expand_denominator called")
 
     monkeypatch.setattr(polyring, "expand_denominator", refuse)
-    assert loc_equal(ZERO_OVER_Z1, plain(Polynomial.zero()), LOC_TABLE)
+    assert loc_equal(ZERO_OVER_Z1, plain(Polynomial()), LOC_TABLE)
     assert not loc_equal(ZERO_OVER_Z1, LocalizedElement(y(2, 1), {2: 1}), LOC_TABLE)
     assert not loc_equal(plain(y(3, 1)), ZERO_OVER_Z1, LOC_TABLE)
 
@@ -606,8 +667,8 @@ def test_loc_weyl_pair_bracket():
     assert loc_equal(result, plain(Polynomial.constant(1)), table)
     # and z is central: {z, p} = {z, q} = 0
     z = plain(y(3, 1))
-    assert loc_equal(loc_poisson_bracket(z, p, UT3), plain(Polynomial.zero()), table)
-    assert loc_equal(loc_poisson_bracket(z, q, UT3), plain(Polynomial.zero()), table)
+    assert loc_equal(loc_poisson_bracket(z, p, UT3), plain(Polynomial()), table)
+    assert loc_equal(loc_poisson_bracket(z, q, UT3), plain(Polynomial()), table)
 
 
 @given(polynomials(), polynomials(), st.dictionaries(st.integers(1, 2), st.integers(0, 2)),
