@@ -12,10 +12,10 @@ minor reduced mod p is the reduction of the rational minor, so a minor that
 vanishes over Q vanishes mod p: the rank mod p is at most the rank over Q.
 The index oracle's max over trials keeps its one-sided meaning, and a full
 Jacobian rank mod p still certifies independence.  `exact_rank` stays
-exact for callers that need the rank over Q of one given form: it
-eliminates on sparse primitive integer rows, touching only the rows that
-meet the pivot's column, and every entry it makes is bounded by a minor
-of the matrix with its denominators cleared.
+exact for the rank over Q of one given form.  Every rank is one sparse
+elimination that updates its own rows in place, copying none, and touches
+only the rows meeting the pivot's column; over Q the rows stay primitive,
+so each entry is bounded by a minor of the matrix, denominators cleared.
 """
 
 from __future__ import annotations
@@ -90,41 +90,44 @@ def skew_form_matrix(f: LinearForm, ideal: PatternIdeal) -> SkewMatrix:
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """The row divided by its content, the gcd of its entries."""
+    """The row, divided in place by its content, the gcd of its entries."""
     content = gcd(*row.values())
-    if content == 1:
-        return row
-    return {c: x // content for c, x in row.items()}
+    if content != 1:
+        for c, x in row.items():
+            row[c] = x // content
+    return row
 
 
 def _eliminate(rows: list[dict[int, int]], modulus: int = 0) -> int:
     """Rank of sparse integer rows {column: entry}: over Q, or over GF(modulus).
 
     The pivot row is the remaining row with the fewest nonzeros, pivoting
-    on its first entry p in column c; each row with an entry `lead` in
-    column c becomes (p/g)·row - (lead/g)·pivot, g = gcd(p, lead).  Over Q
-    that row is then divided by its content; mod p the pivot is first
-    scaled to p = 1, so only the pivot's columns need reducing.  Rows
-    without an entry in c are not touched.  The given rows are not changed.
+    on its first entry p in column c.  Over Q each row with an entry `lead`
+    in column c becomes (p/g)·row - (lead/g)·pivot, g = gcd(p, lead), and
+    is then divided by its content; mod p it becomes row - (lead/p)·pivot.
+    Rows without an entry in c are not touched.  The rows are the caller's
+    to give up: each is updated in place, and none is copied.
     """
     rows = [row for row in rows if row]
+    sizes = [len(row) for row in rows]
     rank = 0
     while rows:
-        sizes = [len(row) for row in rows]
-        pivot_row = rows.pop(sizes.index(min(sizes)))
+        pivot_row = rows.pop(at := sizes.index(min(sizes)))
+        del sizes[at]
         rank += 1
         col, p = next(iter(pivot_row.items()))
-        if modulus:
-            inverse = pow(p, -1, modulus)
-            pivot_row = {c: y * inverse % modulus for c, y in pivot_row.items()}
-            p = 1
-        updated = []
-        for row in rows:
+        inverse = pow(p, -1, modulus) if modulus else 0
+        for i, row in enumerate(rows):
             lead = row.get(col)
             if lead is not None:
-                g = gcd(p, lead)
-                scale, factor = p // g, lead // g
-                row = {c: scale * x for c, x in row.items()}
+                if modulus:
+                    factor = lead * inverse % modulus
+                else:
+                    g = gcd(p, lead)
+                    scale, factor = p // g, lead // g
+                    if scale != 1:
+                        for c, x in row.items():
+                            row[c] = x * scale
                 for c, y in pivot_row.items():
                     x = row.get(c, 0) - factor * y
                     if modulus:
@@ -133,12 +136,11 @@ def _eliminate(rows: list[dict[int, int]], modulus: int = 0) -> int:
                         row[c] = x
                     else:
                         del row[c]
-                if not row:
-                    continue
                 if not modulus:
-                    row = _primitive(row)
-            updated.append(row)
-        rows = updated
+                    _primitive(row)
+                sizes[i] = len(row)
+        if 0 in sizes:
+            rows, sizes = [row for row in rows if row], [size for size in sizes if size]
     return rank
 
 
@@ -203,10 +205,8 @@ def index_oracle(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     algebra = QuotientAlgebra.from_ideal(ideal)
-    best = 0
-    for trial in range(trials):
-        f = random_form(algebra, bound, counter_rand(seed, 0xF0, trial))
-        best = max(best, _modular_rank(skew_form_matrix(f, ideal)))
+    forms = (random_form(algebra, bound, counter_rand(seed, 0xF0, trial)) for trial in range(trials))
+    best = max(_modular_rank(skew_form_matrix(f, ideal)) for f in forms)
     return algebra.dim - best, best
 
 

@@ -1,5 +1,6 @@
 """Brute-force oracles: skew-form ranks, Jacobians, invariance under the action."""
 
+import copy
 import logging
 import random
 import time
@@ -256,6 +257,49 @@ def test_rank_of_a_rational_form_on_the_full_algebra_in_bounded_time():
     assert time.perf_counter() - start < 2
 
 
+@st.composite
+def combination_rows(draw):
+    """Rows that are small integer combinations of two or three base rows,
+    with some of them repeated or negated: most cancel to nothing."""
+    width = draw(st.integers(1, 6))
+    base = st.lists(st.integers(-5, 5), min_size=width, max_size=width)
+    bases = draw(st.lists(base, min_size=2, max_size=3))
+    coefficients = st.lists(st.integers(-3, 3), min_size=len(bases), max_size=len(bases))
+    rows = [
+        [sum(k * b[c] for k, b in zip(ks, bases)) for c in range(width)]
+        for ks in draw(st.lists(coefficients, min_size=1, max_size=8))
+    ]
+    copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.sampled_from([1, -1, 2, -3])), max_size=4))
+    return rows + [[sign * x for x in rows[r]] for r, sign in copies]
+
+
+@given(combination_rows())
+def test_rows_that_cancel_to_nothing_mid_elimination(rows):
+    m = sparse(rows)
+    assert exact_rank(m) == _modular_rank(m) == naive_rank(rows)
+
+
+def test_ranks_leave_their_arguments_unchanged():
+    # compared item by item in order, so a reordered or rescaled row shows
+    algebra = QuotientAlgebra.from_ideal(EXAMPLE7)
+    matrices = [
+        skew_form_matrix(random_form(algebra, 1000, 7), EXAMPLE7),
+        skew_form_matrix(rational_form(algebra, 7), EXAMPLE7),
+        SkewMatrix(3, ({0: 6, 1: 0, 2: 4}, {0: 0}, {1: Fraction(3, 2), 2: 0})),
+    ]
+    for m in matrices:
+        before = copy.deepcopy(m)
+        exact_rank(m)
+        _modular_rank(m)
+        assert [list(row.items()) for row in m.rows] == [list(row.items()) for row in before.rows]
+    zs = build_invariants(build_diagram(EXAMPLE7))
+    f = rational_form(algebra, 8)
+    zs_before, f_before = copy.deepcopy(zs), copy.deepcopy(f)
+    jacobian_rank(zs, f)
+    assert [list(z.terms.items()) for z in zs] == [list(z.terms.items()) for z in zs_before]
+    assert f == f_before
+
+
 def test_skew_rank_is_even():
     for ideal, seed in [(UT3, 0), (UT4, 1), (EXAMPLE7, 2)]:
         algebra = QuotientAlgebra.from_ideal(ideal)
@@ -281,6 +325,13 @@ def test_modular_rank_equals_exact_rank_on_the_full_algebra(n):
     f = random_form(QuotientAlgebra.from_ideal(ideal), 1000, n)
     m = skew_form_matrix(f, ideal)
     assert _modular_rank(m) == exact_rank(m) == m.dim - n // 2
+
+
+def test_modular_rank_of_the_full_ut40_is_the_closed_form():
+    ideal = validate_pattern_ideal(40, [])
+    algebra = QuotientAlgebra.from_ideal(ideal)
+    m = skew_form_matrix(random_form(algebra, 1000, 40), ideal)
+    assert _modular_rank(m) == algebra.dim - 40 // 2
 
 
 @pytest.mark.parametrize("n", [12, 16, 20])
