@@ -210,9 +210,9 @@ def _structural_problem(d: Diagram) -> str | None:
         return "index plus orbit dimension misses dim L"
     if max_orbit_dim(d) % 2:
         return "orbit dimension is odd"
-    for rec in d.steps:
+    for i, rec in enumerate(d.steps, start=1):
         if len(rec.minus) != len(rec.plus):
-            return f"step {rec.index}: plus and minus counts differ"
+            return f"step {i}: plus and minus counts differ"
     for earlier, later in zip(d.xi_list, d.xi_list[1:]):
         if not order_gt(earlier, later):
             return "cross chain is not strictly decreasing"

@@ -145,14 +145,17 @@ def validate_pattern_ideal(n: int, pairs: Iterable[Pair]) -> PatternIdeal:
     return PatternIdeal(n, members)
 
 
-class QuotientAlgebra(namedtuple("QuotientAlgebra", "ideal basis")):
-    """The quotient algebra: its basis (a tuple of Pairs) is A minus M, listed
-    greatest first.  Instances keep a __dict__ for the cached columns."""
+class QuotientAlgebra(namedtuple("QuotientAlgebra", "ideal")):
+    """The quotient algebra of `ideal`: its basis (the Pairs of A minus M,
+    greatest first) and columns are read off the ideal once, into a __dict__."""
 
     @classmethod
     def from_ideal(cls, ideal: PatternIdeal) -> "QuotientAlgebra":
-        basis = tuple(p for p in all_pairs(ideal.n) if p not in ideal.members)
-        return cls(ideal, basis)
+        return cls(ideal)
+
+    @cached_property
+    def basis(self) -> tuple[Pair, ...]:
+        return tuple(p for p in all_pairs(self.ideal.n) if p not in self.ideal.members)
 
     @cached_property
     def columns(self) -> dict[Pair, int]:

@@ -58,14 +58,13 @@ class StepOutOfRangeError(IndexError):
 
 
 class StepRecord(NamedTuple):
-    """One cross placement: its position, the paired fills, and p.
+    """Step i's cross placement, at d.steps[i - 1]: its position, fills and p.
 
     p is the first row of the ideal in the cross's column t (n+1 when the
     column has no ideal cells); rows p..n of column t are exactly its
     bullet cells, and p > k always holds.
     """
 
-    index: int
     xi: Pair
     minus: tuple[Pair, ...]
     plus: tuple[Pair, ...]
@@ -121,15 +120,7 @@ def build_diagram(ideal: PatternIdeal) -> Diagram:
         p = min((m.row for m in ideal.members if m.col == t), default=n + 1)
         if p <= k:
             raise ConsistencyError(f"ideal cell ({p},{t}) lies above the cross {tuple(xi)}: not an ideal")
-        steps.append(
-            StepRecord(
-                i,
-                xi,
-                tuple(sorted(minus, key=succ_key)),
-                tuple(sorted(plus, key=succ_key)),
-                p,
-            )
-        )
+        steps.append(StepRecord(xi, tuple(sorted(minus, key=succ_key)), tuple(sorted(plus, key=succ_key)), p))
     return Diagram(ideal, cells, tuple(steps))
 
 

@@ -76,16 +76,15 @@ class NotTriangularError(ConsistencyError):
 
 
 class ThetaState(NamedTuple):
-    """Composite images of the surviving coordinates after `step` steps.
+    """Composite images of the surviving coordinates after i = len(z_list) steps.
 
     images[(a,b)] is the original-variable expression of the step-level
-    coordinate y[a,b]; keys are exactly the unfilled set B_step.  z_list
-    holds the numerators extracted so far (z_1..z_step), which is also the
-    table the formal denominators refer to.  Started from the variables'
-    values in another ring (residues at a form), theta_step gives the z's there.
+    coordinate y[a,b]; keys are exactly the unfilled set B_i.  z_list holds
+    the numerators extracted so far (z_1..z_i), which is also the table the
+    formal denominators refer to.  Started from the variables' values in
+    another ring (residues at a form), theta_step gives the z's there.
     """
 
-    step: int
     images: dict[Pair, LocalizedElement]
     z_list: tuple[Polynomial, ...]
 
@@ -101,12 +100,12 @@ class RelationReport(NamedTuple):
 
 def initial_state(d: Diagram) -> ThetaState:
     images = {pair: LocalizedElement(Polynomial.variable(pair)) for pair in b_set(d, 0)}
-    return ThetaState(0, images, ())
+    return ThetaState(images, ())
 
 
 def theta_step(prev: ThetaState, d: Diagram, i: int) -> ThetaState:
-    if prev.step != i - 1:
-        raise InconsistentStateError(f"state is at step {prev.step}, expected {i - 1}")
+    if len(prev.z_list) != i - 1:
+        raise InconsistentStateError(f"state is at step {len(prev.z_list)}, expected {i - 1}")
     if set(prev.images) != set(b_set(d, i - 1)):
         raise InconsistentStateError("image keys do not match the unfilled set")
     classes = classify_step(d, i)  # raises StepOutOfRangeError for i > s before d.steps is read
@@ -140,7 +139,7 @@ def theta_step(prev: ThetaState, d: Diagram, i: int) -> ThetaState:
             images[pair] = loc_divide(total, pivot, z_table)
         else:
             images[pair] = prev.images[pair]
-    return ThetaState(i, images, z_table)
+    return ThetaState(images, z_table)
 
 
 def build_invariants(d: Diagram, check: bool = True) -> list[Polynomial]:

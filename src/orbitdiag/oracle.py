@@ -54,11 +54,14 @@ _RETRIES = 5
 
 
 class SkewMatrix(NamedTuple):
-    """The pairing table f([y_a, y_b]) over the surviving basis, kept as
-    sparse rows {column: nonzero value} in ascending column order."""
+    """The pairing table f([y_a, y_b]) over the surviving basis: one sparse
+    row {column: nonzero value} per basis position, in ascending column order."""
 
-    dim: int
     rows: tuple[dict[int, int | Fraction], ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
 
 
 def skew_form_matrix(f: LinearForm, ideal: PatternIdeal) -> SkewMatrix:
@@ -86,7 +89,7 @@ def skew_form_matrix(f: LinearForm, ideal: PatternIdeal) -> SkewMatrix:
             if col is not None and value:
                 row[col] = -value
         rows.append(row)
-    return SkewMatrix(len(rows), tuple(rows))
+    return SkewMatrix(tuple(rows))
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:

@@ -83,7 +83,6 @@ def test_worked_example_invariants():
 def test_initial_state_is_the_identity():
     d = build_diagram(EXAMPLE7)
     state = initial_state(d)
-    assert state.step == 0
     assert state.z_list == ()
     assert set(state.images) == set(b_set(d, 0))
     for pair, el in state.images.items():
@@ -94,7 +93,6 @@ def test_initial_state_is_the_identity():
 def test_first_step_images():
     d = build_diagram(EXAMPLE7)
     state = theta_step(initial_state(d), d, 1)
-    assert state.step == 1
     assert state.z_list == (y(4, 1),)
     assert set(state.images) == set(b_set(d, 1))
     # a crossed or corrected cell leaves the picture
@@ -155,7 +153,6 @@ def test_second_and_third_step_images():
 def test_final_state_is_empty():
     d = build_diagram(EXAMPLE7)
     last = states_of(d)[-1]
-    assert last.step == d.s
     assert last.images == {}
     assert len(last.z_list) == d.s
 
@@ -174,9 +171,16 @@ def test_theta_step_validates_its_input():
     s0 = initial_state(d)
     with pytest.raises(InconsistentStateError):
         theta_step(s0, d, 2)
-    broken = ThetaState(step=1, images={}, z_list=(y(4, 1),))
+    broken = ThetaState(images={}, z_list=(y(4, 1),))
     with pytest.raises(InconsistentStateError):
         theta_step(broken, d, 2)
+    # ut(6): B_1 images with an empty z table.  Taken as step 2, the pivot would
+    # become z_1, and the image of (4, 3) would get {1: 3} for its {1: 2, 2: 1}
+    d = build_diagram(validate_pattern_ideal(6, []))
+    s1 = theta_step(initial_state(d), d, 1)
+    assert theta_step(s1, d, 2).images[Pair(4, 3)].den == {1: 2, 2: 1}
+    with pytest.raises(InconsistentStateError, match="state is at step 0, expected 1"):
+        theta_step(s1._replace(z_list=()), d, 2)
 
 
 @pytest.mark.parametrize("error", [InconsistentStateError, CentralityError, NotTriangularError])
@@ -573,8 +577,8 @@ def test_relations_report_the_first_failing_identity():
     d = build_diagram(validate_pattern_ideal(4, []))
     images = dict(initial_state(d).images)
     images[Pair(3, 2)] = LocalizedElement(y(3, 2) + y(2, 1), {})
-    report = verify_relations(ThetaState(0, images, ()), d, 1)
-    assert (report.state.step, report.checked, report.passed, report.counterexample) == (
+    report = verify_relations(ThetaState(images, ()), d, 1)
+    assert (len(report.state.z_list), report.checked, report.passed, report.counterexample) == (
         1, 12, False, "image of (3, 2) does not commute with p_2"
     )
 
@@ -587,7 +591,7 @@ def test_relations_refuse_a_pivot_that_is_not_central():
     prev = states_of(d)[1]
     images = dict(prev.images)
     images[Pair(4, 2)] = loc_add(images[Pair(4, 2)], LocalizedElement(y(4, 3) ** 2), prev.z_list)
-    report = verify_relations(ThetaState(1, images, prev.z_list), d, 2)
+    report = verify_relations(ThetaState(images, prev.z_list), d, 2)
     assert canonical_string(report.state.z_list[1]) == "y[4,3]^2 + y[4,2]"
     assert (report.checked, report.passed, report.counterexample) == (
         0, False, "z_2 does not commute with every coordinate"
@@ -701,7 +705,7 @@ def walk_at_a_point(d, f):
     """The z's at f mod P: theta_step from the values of the variables there."""
     values = f.lookup
     images = {pair: LocalizedElement(Residue(values.get(pair, 0))) for pair in b_set(d, 0)}
-    state = ThetaState(0, images, ())
+    state = ThetaState(images, ())
     for i in range(1, d.s + 1):
         state = theta_step(state, d, i)
     return [z.v for z in state.z_list]

@@ -40,14 +40,14 @@ def example(cls):
 
 RECORDS = {
     PatternIdeal: ("n", "members"),
-    QuotientAlgebra: ("ideal", "basis"),
+    QuotientAlgebra: ("ideal",),
     LinearForm: ("algebra", "values"),
     UnipotentElement: ("entries",),
-    StepRecord: ("index", "xi", "minus", "plus", "p"),
+    StepRecord: ("xi", "minus", "plus", "p"),
     Diagram: ("ideal", "cells", "steps"),
     IdealSpec: ("n", "pairs"),
-    SkewMatrix: ("dim", "rows"),
-    ThetaState: ("step", "images", "z_list"),
+    SkewMatrix: ("rows",),
+    ThetaState: ("images", "z_list"),
     RelationReport: ("state", "checked", "passed", "counterexample"),
     LocalizedElement: ("num", "den"),
 }
@@ -96,9 +96,14 @@ def test_cached_views_are_built_once_per_instance():
     algebra, form = example(QuotientAlgebra), example(LinearForm)
     assert algebra.columns is algebra.columns and form.lookup is form.lookup
     assert form.lookup == {Pair(4, 1): 3, Pair(3, 2): Fraction(1, 2)}
-    # a replaced record starts with no cached view
-    smaller = algebra._replace(basis=algebra.basis[:2])
-    assert smaller.columns == {algebra.basis[0]: 0, algebra.basis[1]: 1}
+    assert algebra.basis is algebra.basis and (algebra.n, algebra.dim) == (7, 17)
+    # a replaced record starts with no cached view: all three follow the new ideal
+    smaller = algebra._replace(ideal=validate_pattern_ideal(3, [(3, 1)]))
+    assert smaller.basis == (Pair(2, 1), Pair(3, 2))
+    assert smaller.columns == {Pair(2, 1): 0, Pair(3, 2): 1}
+    assert (smaller.n, smaller.dim) == (3, 2)
+    with pytest.raises(ValueError, match="unexpected field"):
+        algebra._replace(basis=smaller.basis)
 
 
 def test_unipotent_checks_its_entries_on_construction_and_replace():
