@@ -33,6 +33,7 @@ from .polyring import (
     LocalizedElement,
     Polynomial,
     _brackets_with,
+    _is_product,
     _largest_exponents,
     loc_add,
     loc_divide,
@@ -173,7 +174,7 @@ def triangular_decompose(
     involves variables strictly greater than xi.  Newest first, e_j is Q's
     degree in the least variable of z_j (its pivot, absent from older z's)
     less the newer factors' degrees there, which add under products; one
-    product, smallest factor first, then certifies Q for any `earlier`.
+    product on packed keys (polyring's) then certifies Q for any `earlier`.
     Returns the exponent map of Q and the remainder P.
     """
     xi = Pair(*xi)
@@ -199,10 +200,7 @@ def triangular_decompose(
         e = top_q.get(least, 0) - sum(e_k * tops[k - 1].get(least, 0) for k, e_k in exponents.items())
         if e > 0:
             exponents[j] = e
-    product = 1
-    for factor in sorted((earlier[j - 1] ** e for j, e in exponents.items()), key=lambda w: len(w.terms)):
-        product = product * factor
-    if product != q:
+    if not _is_product(q, [(earlier[j - 1], e) for j, e in exponents.items()]):
         raise NotTriangularError("pivot coefficient is not a product of earlier invariants", q)
     remainder = Polynomial(without)
     for v in sorted(remainder.variables()):
@@ -217,10 +215,10 @@ def verify_centrality(z: Polynomial, ideal: PatternIdeal) -> bool:
     {z, .} is a derivation, so by Jacobi it kills [x, y] once it kills x and y.
     Each y[i,j] outside M is [y[i,j+1], y[j+1,j]], both factors outside M by
     lower-left closure, so the generators y[i+1,i] outside M suffice; their
-    brackets with z are summed in one pass over z's terms.
+    brackets with z are summed on packed keys in one pass over z's terms.
     """
     generators = [Pair(i + 1, i) for i in range(1, ideal.n) if Pair(i + 1, i) not in ideal.members]
-    return not any(any(terms.values()) for terms in _brackets_with(z, generators, ideal).values())
+    return not _brackets_with(z, generators, ideal)
 
 
 def verify_relations(prev: ThetaState, d: Diagram, i: int) -> RelationReport:

@@ -4,7 +4,9 @@ Variables are lower-triangular positions outside the ideal; a monomial is
 stored as a tuple of ((row,col), exponent) entries sorted by (row, col),
 and a polynomial as a dict mapping monomials to nonzero ints, or Fractions
 where not integral; only the parser builds Fractions, so integer input
-stays integer.  On top of the plain ring sit:
+stays integer.  Products and the exact checks add monomials as packed integer keys,
+one bit field per variable sized from a table of bounds; no other module sees a key.
+On top of the plain ring sit:
 
   * the Poisson bracket induced by the structure constants (images inside
     the ideal drop to zero),
@@ -84,14 +86,13 @@ def _largest_exponents(terms) -> dict:
     return top
 
 
-def _packing_shifts(a, b) -> dict:
-    """Bit offset per variable of a or b; a field holds the sum of the two
-    operands' largest exponents there, so no product overflows it."""
-    top_a, top_b = _largest_exponents(a), _largest_exponents(b)
+def _layout(bounds: dict) -> dict:
+    """Bit offset per variable, in (row, col) order, its field as wide as bounds[pair]
+    needs: keys within the bounds add without a carry, so equal keys are equal monomials."""
     shift, offset = {}, 0
-    for pair in top_a.keys() | top_b.keys():
+    for pair in sorted(bounds):
         shift[pair] = offset
-        offset += (top_a.get(pair, 0) + top_b.get(pair, 0)).bit_length()
+        offset += bounds[pair].bit_length()
     return shift
 
 
@@ -178,7 +179,8 @@ class Polynomial:
         # exponent the product can reach there, so a monomial product is one
         # integer addition and keys collide only for equal monomials.  Each
         # distinct result monomial is built once, from its first (mu, mv).
-        shift = _packing_shifts(a, b)
+        top_a, top_b = _largest_exponents(a), _largest_exponents(b)
+        shift = _layout({pair: top_a.get(pair, 0) + top_b.get(pair, 0) for pair in top_a.keys() | top_b.keys()})
         packed_b = [(_pack(mv, shift), cv, mv) for mv, cv in b.items()]
         total = {}
         first = {}
@@ -239,29 +241,45 @@ def partial_derivative(p: Polynomial, v) -> Polynomial:
 
 
 def _brackets_with(a: Polynomial, betas, ideal: PatternIdeal) -> dict:
-    """{a, y_beta} for every beta, as {beta: {monomial: coefficient}} with
-    zero sums kept: the sum over the terms c*m of a and their variables
-    y_alpha^e of [alpha, beta] * e*c * m/y_alpha * y_gamma.  One pass over
-    a's terms; each variable's (total, y_gamma, sign) rows, over the betas
-    whose bracket with it is nonzero, are looked up once."""
+    """{a, y_beta} for the betas where it is nonzero, as {beta: {monomial: coefficient}}
+    with no zero coefficient: the sum over the terms c*m of a and their variables
+    y_alpha^e of [alpha, beta] * e*c * m/y_alpha * y_gamma.  Each (alpha, beta) bracket
+    is looked up once and made a packed-key step y_gamma/y_alpha; gamma's field holds its
+    largest exponent in a plus one, so no step carries, and a monomial is built only for
+    a sum that does not cancel."""
     totals = {beta: {} for beta in betas}
-    partners: dict = {}
+    top = _largest_exponents(a.terms)
+    bounds = dict(top)
+    rows = []
+    for alpha in top:
+        for beta, total in totals.items():
+            sign, gamma = bracket(alpha, beta, ideal)
+            if gamma is not None:
+                rows.append((alpha, total, gamma, sign))
+                bounds[gamma] = top.get(gamma, 0) + 1
+    shift = _layout(bounds)
+    steps = {alpha: [] for alpha in top}
+    for alpha, total, gamma, sign in rows:
+        steps[alpha].append((total, (1 << shift[gamma]) - (1 << shift[alpha]), sign))
     for m, c in a.terms.items():
-        for k, (alpha, e) in enumerate(m):
-            try:
-                rows = partners[alpha]
-            except KeyError:
-                rows = partners[alpha] = [
-                    (totals[beta], ((term.pair, 1),), term.coefficient)
-                    for beta in totals
-                    if (term := bracket(alpha, beta, ideal)).pair is not None
-                ]
-            if rows:
-                lowered = m[:k] + ((alpha, e - 1),) + m[k + 1 :] if e > 1 else m[:k] + m[k + 1 :]
-                for total, gamma, sign in rows:
-                    key = monomial_mul(lowered, gamma)
-                    total[key] = total.get(key, 0) + sign * e * c
-    return totals
+        key = _pack(m, shift)
+        for alpha, e in m:
+            for total, step, sign in steps[alpha]:
+                total[key + step] = total.get(key + step, 0) + sign * e * c
+    fields = [(pair, offset, (1 << bounds[pair].bit_length()) - 1) for pair, offset in shift.items()]
+    brackets = {}
+    for beta, total in totals.items():
+        terms = {}
+        for key, c in total.items():
+            if c:
+                m = []
+                for pair, offset, mask in fields:
+                    if key >> offset & mask:
+                        m.append((pair, key >> offset & mask))
+                terms[tuple(m)] = c
+        if terms:
+            brackets[beta] = terms
+    return brackets
 
 
 def poisson_bracket(a: Polynomial, b: Polynomial, ideal: PatternIdeal) -> Polynomial:
@@ -272,6 +290,27 @@ def poisson_bracket(a: Polynomial, b: Polynomial, ideal: PatternIdeal) -> Polyno
         for m, c in (Polynomial(terms) * partial_derivative(b, beta)).terms.items():
             total[m] = total.get(m, 0) + c
     return Polynomial(total)
+
+
+def _is_product(q: Polynomial, powers) -> bool:
+    """Is q the product of w^e over (w, e) in powers?  The factors, each power as e repeated
+    factors, are multiplied smallest first on packed keys whose fields hold the sum of their
+    largest exponents, which bounds every product term: a term of q past it means no."""
+    bounds: dict = {}
+    for w, e in powers:
+        for pair, top in _largest_exponents(w.terms).items():
+            bounds[pair] = bounds.get(pair, 0) + e * top
+    shift = _layout(bounds)
+    product = {0: 1}
+    factors = [[(_pack(m, shift), c) for m, c in w.terms.items()] for w, e in powers for _ in range(e)]
+    for factor in sorted(factors, key=len):
+        total: dict = {}
+        for ku, cu in product.items():
+            for kv, cv in factor:
+                total[ku + kv] = total.get(ku + kv, 0) + cu * cv
+        product = {key: c for key, c in total.items() if c}
+    within = all(e <= bounds.get(pair, 0) for m in q.terms for pair, e in m)
+    return within and product == {_pack(m, shift): c for m, c in q.terms.items()}
 
 
 def evaluate(p: Polynomial, f: LinearForm) -> int | Fraction:

@@ -272,6 +272,41 @@ def test_triangular_rejects_bad_shapes():
     assert info.value.witness == Pair(2, 1)
 
 
+# w = y[4,1]*y[5,3] + y[4,2]*y[5,3] has degree 1 in its pivot y[5,3] and in every
+# other variable, so the product certificate packs Q = w into one-bit fields.  In
+# each Q below one exponent is 2 where every product term has at most 1: read
+# through a one-bit field it would carry into the next, and each Q would pack to
+# the keys of w for the field order (4,1), (4,2) or the reverse.
+STAIRCASE_W = y(4, 1) * y(5, 3) + y(4, 2) * y(5, 3)
+
+
+@pytest.mark.parametrize("q", [
+    y(4, 1) ** 2 * y(5, 3) + y(4, 1) * y(5, 3),
+    y(4, 2) ** 2 * y(5, 3) + y(4, 2) * y(5, 3),
+])
+def test_staircase_rejects_an_exponent_past_the_product_bound(q):
+    with pytest.raises(NotTriangularError) as info:
+        triangular_decompose(y(3, 1) * q, Pair(3, 1), [STAIRCASE_W])
+    assert info.value.reason == "pivot coefficient is not a product of earlier invariants"
+    assert info.value.witness == q
+    assert staircase_outcome(triangular_decompose, y(3, 1) * q, Pair(3, 1), [STAIRCASE_W]) == (
+        staircase_outcome(reference_triangular_decompose, y(3, 1) * q, Pair(3, 1), [STAIRCASE_W])
+    )
+
+
+@pytest.mark.parametrize("other", [Pair(4, 2), Pair(2, 1), Pair(6, 5)])
+def test_staircase_rejects_a_variable_no_factor_has(other):
+    # w = y[4,1]*y[5,3] + y[5,3]: Q has w's shape with y[4,1] traded for a variable
+    # outside every factor, so it has no field in the product's layout
+    w = y(4, 1) * y(5, 3) + y(5, 3)
+    q = Polynomial.variable(other) * y(5, 3) + y(5, 3)
+    with pytest.raises(NotTriangularError) as info:
+        triangular_decompose(y(3, 1) * q, Pair(3, 1), [w])
+    assert info.value.reason == "pivot coefficient is not a product of earlier invariants"
+    assert info.value.witness == q
+    assert triangular_decompose(y(3, 1) * w, Pair(3, 1), [w]) == ({1: 1}, Polynomial())
+
+
 def test_staircase_decomposition_digest_up_to_n7():
     # every exponent map and remainder for every ideal with n <= 7, hashed;
     # the digest was recorded from the greedy trial division that the
@@ -367,6 +402,15 @@ def test_staircase_split_matches_the_reference_up_to_n6():
 HEAVY11 = validate_pattern_ideal(
     11, [(r, c) for c, low in enumerate([3, 7, 7, 8, 8, 8, 10, 11, 11], 1) for r in range(low, 12)]
 )
+
+
+def test_full_ut10_checks_pass_and_catch_a_non_central_sum():
+    # z_5 of the full ut(10) has 9936 terms with exponents up to 27: both exact
+    # checks run on it, and adding y[2,1]*z_4 leaves brackets that do not cancel
+    ideal = validate_pattern_ideal(10, [])
+    zs = build_invariants(build_diagram(ideal), check=True)
+    assert (len(zs[4].terms), max(e for m in zs[4].terms for _, e in m)) == (9936, 27)
+    assert not verify_centrality(zs[4] + y(2, 1) * zs[3], ideal)
 
 
 def test_staircase_split_matches_the_reference_on_a_heavy_invariant():
@@ -521,6 +565,11 @@ def test_generator_centrality_agrees_on_single_coordinates():
             assert verify_centrality(p, ideal) == central_on_every_coordinate(p, ideal)
 
 
+# Exponents up to 16, the powers of two and their predecessors drawn often, so
+# that a bracket raising y_gamma^(2^k - 1) fills its packed field to the top.
+EXPONENTS = st.one_of(st.integers(1, 16), st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16]))
+
+
 def test_generator_centrality_matches_every_coordinate():
     verdicts = set()
 
@@ -537,7 +586,7 @@ def test_generator_centrality_matches_every_coordinate():
         for _ in range(data.draw(st.integers(0, 2))):
             term = Polynomial.constant(data.draw(st.integers(1, 3)))
             for _ in range(data.draw(st.integers(1, 3))):
-                term = term * Polynomial.variable(data.draw(st.sampled_from(basis)))
+                term = term * Polynomial.variable(data.draw(st.sampled_from(basis))) ** data.draw(EXPONENTS)
             p = p + term
         verdict = verify_centrality(p, ideal)
         assert verdict == central_on_every_coordinate(p, ideal)

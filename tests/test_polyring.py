@@ -212,13 +212,19 @@ def reference_bracket(a, b, ideal):
 IDEALS_UP_TO_5 = [ideal for n in range(2, 6) for ideal in enumerate_pattern_ideals(n)]
 
 
+# Exponents up to 16, the powers of two and their predecessors drawn often: the
+# bracket kernel packs exponents into bit fields, and y_gamma^(2^k - 1) times the
+# y_gamma a bracket adds is the case that fills a field to its top.
+EXPONENTS = st.one_of(st.integers(1, 16), st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16]))
+
+
 @st.composite
 def quotient_polynomials(draw, variables):
     total = Polynomial()
     for _ in range(draw(st.integers(0, 4))):
         term = Polynomial.constant(Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))))
         if variables:
-            monomial = st.dictionaries(st.sampled_from(variables), st.integers(1, 3), max_size=3)
+            monomial = st.dictionaries(st.sampled_from(variables), EXPONENTS, max_size=3)
             for pair, exp in draw(monomial).items():
                 term = term * Polynomial.variable(pair) ** exp
         total = total + term
@@ -232,6 +238,17 @@ def test_bracket_matches_term_by_term_reference(data):
     a = data.draw(quotient_polynomials(variables))
     b = data.draw(quotient_polynomials(variables))
     assert poisson_bracket(a, b, ideal) == reference_bracket(a, b, ideal)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_bracket_fills_an_exponent_field_to_its_top(k):
+    # {y[2,1], y[3,2]} = -y[3,1], so the bracket raises y[3,1]^(2^k - 1), the
+    # largest exponent of y[3,1] in a, to 2^k, which needs one bit more
+    ut3 = validate_pattern_ideal(3, [])
+    a = y(2, 1) * y(3, 1) ** (2**k - 1) + 3 * y(2, 1) ** 2
+    for b in (y(3, 2), y(3, 2) ** 2 * y(3, 1)):
+        assert poisson_bracket(a, b, ut3) == reference_bracket(a, b, ut3)
+    assert poisson_bracket(a, y(3, 2), ut3) == -(y(3, 1) ** (2**k)) - 6 * y(2, 1) * y(3, 1)
 
 
 # --- evaluation ------------------------------------------------------------------
