@@ -11,11 +11,13 @@ prime p = 2^61 - 1.  For a matrix whose denominators are prime to p, every
 minor reduced mod p is the reduction of the rational minor, so a minor that
 vanishes over Q vanishes mod p: the rank mod p is at most the rank over Q.
 The index oracle's max over trials keeps its one-sided meaning, and a full
-Jacobian rank mod p still certifies independence.  `exact_rank` stays
-exact for the rank over Q of one given form.  Every rank is one sparse
-elimination that updates its own rows in place, copying none, and touches
-only the rows meeting the pivot's column; over Q the rows stay primitive,
-so each entry is bounded by a minor of the matrix, denominators cleared.
+Jacobian rank mod p still certifies independence.  No rank exceeds the term
+rank of the nonzero pattern (a larger minor has no nonzero term), so a rank
+mod p that meets it is the rank over Q: the index oracle stops there, and
+`exact_rank` returns it.  Every rank is one sparse elimination that updates
+its own rows in place, copying none, and touches only the rows meeting the
+pivot's column; over Q the rows stay primitive, so each entry is bounded by
+a minor of the matrix, denominators cleared.
 """
 
 from __future__ import annotations
@@ -147,13 +149,44 @@ def _eliminate(rows: list[dict[int, int]], modulus: int = 0) -> int:
     return rank
 
 
+def _term_rank(rows) -> int:
+    """The size of a largest matching of sparse rows {column: nonzero} to their
+    columns, no less than the rank of any matrix of that pattern: greedy, then
+    an augmenting-path search on a stack (Kuhn 1955) from each unmatched row."""
+    owner, matched = {}, {}  # column -> its row, and row -> its column
+    for r, row in enumerate(rows):
+        for c in row:
+            if c not in owner:
+                owner[c], matched[r] = r, c
+                break
+    for root in range(len(rows)):
+        if root in matched:
+            continue
+        parent, stack, end = {}, [root], None
+        while stack and end is None:
+            r = stack.pop()
+            for c in rows[r]:
+                if c not in parent:
+                    parent[c] = r
+                    if c not in owner:
+                        end = c
+                        break
+                    stack.append(owner[c])
+        while end is not None:
+            r = parent[end]
+            owner[end], matched[r], end = r, end, matched.get(r)
+    return len(matched)
+
+
 def exact_rank(matrix: SkewMatrix) -> int:
-    """Rank over the rationals, by fraction-free elimination on sparse rows.
+    """Rank over the rationals, certified mod p or by fraction-free elimination.
 
     Each sparse row's explicit zeros are dropped, its denominators cleared
-    and its content divided out; `_eliminate` touches only the rows that
-    meet the pivot's column, and a skew form of ut(n)/m has at most n - 2
-    nonzeros per row.
+    and its content divided out.  A rank mod p of those integer rows that
+    meets their term rank is returned: a nonzero minor mod p is one over Q,
+    and no larger minor has a nonzero term.  Otherwise `_eliminate` runs over
+    Q; it touches only the rows that meet the pivot's column, and a skew
+    form of ut(n)/m has at most n - 2 nonzeros per row.
 
     Entry size.  Let M be the integer matrix the rows start as, P the rows
     taken as pivots so far and C their pivot columns.  A reduced row r is
@@ -170,7 +203,8 @@ def exact_rank(matrix: SkewMatrix) -> int:
     for row in matrix.rows:
         scale = lcm(*(x.denominator for x in row.values()))
         cleared.append(_primitive({c: x.numerator * (scale // x.denominator) for c, x in row.items() if x}))
-    return _eliminate(cleared)
+    rank = _eliminate([{c: r for c, x in row.items() if (r := x % _P)} for row in cleared], _P)
+    return rank if rank == _term_rank(cleared) else _eliminate(cleared)
 
 
 def _reduce(x) -> int:
@@ -198,18 +232,25 @@ def index_oracle(
     """(index, generic rank) of the quotient, via random sampling.
 
     Evaluates the skew form at `trials` random integer points and takes the
-    best rank seen; rank deficiency at every sampled point would require
-    each point to land in a proper closed subvariety, so the max is the
-    generic value for any reasonable number of trials.  Each rank is taken
-    mod p = 2^61 - 1, which never exceeds the rank over Q, so the max stays
-    a lower bound for the generic rank and the index it gives an upper
-    bound.  Deterministic in the seed.
+    best rank seen; rank deficiency at every sampled point would require each
+    point to land in a proper closed subvariety, so the max is the generic
+    value for any reasonable number of trials.  Each rank is taken mod
+    p = 2^61 - 1, which never exceeds the rank over Q, so the max stays a
+    lower bound for the generic rank and the index it gives an upper bound.
+    The all-ones form's term rank bounds every B_f, so a best rank that meets
+    it is the generic rank and the trials stop.  Deterministic in the seed.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     algebra = QuotientAlgebra.from_ideal(ideal)
-    forms = (random_form(algebra, bound, counter_rand(seed, 0xF0, trial)) for trial in range(trials))
-    best = max(_modular_rank(skew_form_matrix(f, ideal)) for f in forms)
+    ones = LinearForm.from_dict(algebra, dict.fromkeys(algebra.basis, 1))
+    ceiling = _term_rank(skew_form_matrix(ones, ideal).rows)
+    best = 0
+    for trial in range(trials):
+        f = random_form(algebra, bound, counter_rand(seed, 0xF0, trial))
+        best = max(best, _modular_rank(skew_form_matrix(f, ideal)))
+        if best == ceiling:
+            break
     return algebra.dim - best, best
 
 

@@ -1,6 +1,7 @@
 """Brute-force oracles: skew-form ranks, Jacobians, invariance under the action."""
 
 import copy
+import itertools
 import logging
 import random
 import time
@@ -21,6 +22,7 @@ from orbitdiag.core import (
     random_form,
     validate_pattern_ideal,
 )
+from orbitdiag import oracle
 from orbitdiag.diagram import build_diagram, max_orbit_dim
 from orbitdiag.invariants import build_invariants
 from orbitdiag.oracle import (
@@ -29,6 +31,7 @@ from orbitdiag.oracle import (
     _gradient,
     _modular_rank,
     _reduce,
+    _term_rank,
     exact_rank,
     generic_jacobian_rank,
     index_oracle,
@@ -41,6 +44,9 @@ from orbitdiag.polyring import MissingCoordinateError, Polynomial, evaluate, par
 UT3 = validate_pattern_ideal(3, [])
 UT4 = validate_pattern_ideal(4, [])
 EXAMPLE7 = validate_pattern_ideal(7, [(5, 1), (6, 1), (7, 1), (7, 2)])
+# the term rank of B_f's full pattern exceeds the generic rank on these: 12 > 10 and 18 > 16
+LOOSE6 = validate_pattern_ideal(6, [(6, 1)])
+LOOSE7 = validate_pattern_ideal(7, [(7, 1)])
 
 
 def y(row, col):
@@ -347,6 +353,53 @@ def test_sparse_modular_rank_equals_exact_rank_on_large_ideals(n):
                 assert rank == algebra.dim - n // 2
 
 
+def eliminations(monkeypatch):
+    """The modulus of every `_eliminate` call, 0 for an elimination over Q."""
+    moduli = []
+    eliminate = oracle._eliminate
+
+    def counted(rows, modulus=0):
+        moduli.append(modulus)
+        return eliminate(rows, modulus)
+
+    monkeypatch.setattr(oracle, "_eliminate", counted)
+    return moduli
+
+
+def test_exact_rank_of_a_dense_ut40_form_is_certified_mod_p(monkeypatch):
+    # the rank mod p meets the term rank, so the elimination over Q never runs
+    ideal = validate_pattern_ideal(40, [])
+    algebra = QuotientAlgebra.from_ideal(ideal)
+    m = skew_form_matrix(random_form(algebra, 1000, 40), ideal)
+    moduli = eliminations(monkeypatch)
+    start = time.perf_counter()
+    assert exact_rank(m) == 760
+    assert time.perf_counter() - start < 10
+    assert moduli == [_P]
+
+
+def test_exact_rank_falls_back_to_q_where_the_certificate_fails(monkeypatch):
+    algebra = QuotientAlgebra.from_ideal(LOOSE6)
+    ones = skew_form_matrix(LinearForm.from_dict(algebra, dict.fromkeys(algebra.basis, 1)), LOOSE6)
+    cases = [
+        ones,  # a loose pattern: term rank 12, rank 10
+        sparse([[1, 2], [2, 4]]),  # term rank 2, rank 1
+        sparse([[Fraction(1, _P), Fraction(2, _P)], [1, 2]]),  # denominators with no value mod p
+        sparse([[_P, 1], [0, 1]]),  # rank 1 mod p, 2 over Q
+        sparse([[3 * _P, _P, 1], [0, 0, 1], [1, 2, 0]]),
+    ]
+    for m in cases:
+        moduli = eliminations(monkeypatch)
+        assert exact_rank(m) == naive_rank(dense(m)), dense(m)
+        assert moduli == [_P, 0], dense(m)
+
+
+def test_exact_rank_takes_any_denominator():
+    # the rows are cleared before the rank mod p, so a denominator p raises nothing
+    for rows in ([[Fraction(1, _P), 1], [0, 1]], [[Fraction(1, _P)]], [[Fraction(3, _P), 0], [Fraction(1, 2), 0]]):
+        assert exact_rank(sparse(rows)) == naive_rank(rows)
+
+
 @given(st.data())
 def test_modular_rank_equals_exact_rank_on_rational_rows(data):
     height = data.draw(st.integers(1, 5))
@@ -445,6 +498,47 @@ def test_index_of_the_full_algebra_past_the_enumeration_limit():
     assert time.perf_counter() - start < 3
 
 
+# --- term rank ----------------------------------------------------------------------
+
+
+def brute_term_rank(pattern):
+    """The most nonzero cells of a 0/1 pattern with no two in one row or column:
+    the best over every assignment of distinct columns to the rows, taken on
+    the transpose when there are more rows than columns."""
+    if not pattern:
+        return 0
+    if len(pattern) > len(pattern[0]):
+        pattern = list(zip(*pattern))
+    assignments = itertools.permutations(range(len(pattern[0])), len(pattern))
+    return max(sum(pattern[r][c] for r, c in enumerate(columns)) for columns in assignments)
+
+
+def test_term_rank_matches_brute_force():
+    # greedy matches row 0 to column 0 and leaves row 1 unmatched; an augmenting
+    # path frees it.  In the second, greedy takes columns 0, 1, 2 and the path
+    # from the last row runs three rows deep.
+    patterns = [[[1, 1], [1, 0]], [[1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0]]]
+    rng = random.Random(2024)
+    for _ in range(300):
+        height, width = rng.randint(0, 7), rng.randint(1, 7)
+        density = rng.random()
+        pattern = [[int(rng.random() < density) for _ in range(width)] for _ in range(height)]
+        for r in rng.sample(range(height), height // 3):
+            pattern[r] = [0] * width
+        patterns.append(pattern)
+    for pattern in patterns:
+        rows = [{c: rng.choice([1, -2, Fraction(1, 3)]) for c, cell in enumerate(row) if cell} for row in pattern]
+        assert _term_rank(rows) == brute_term_rank(pattern), pattern
+    assert brute_term_rank(patterns[0]) == 2 and brute_term_rank(patterns[1]) == 4
+
+
+def test_term_rank_of_the_full_ut100_pattern_is_the_closed_form():
+    ideal = validate_pattern_ideal(100, [])
+    algebra = QuotientAlgebra.from_ideal(ideal)
+    ones = LinearForm.from_dict(algebra, dict.fromkeys(algebra.basis, 1))
+    assert _term_rank(skew_form_matrix(ones, ideal).rows) == algebra.dim - 50
+
+
 # --- the index oracle ---------------------------------------------------------------
 
 
@@ -453,6 +547,43 @@ def test_index_oracle_frozen_values():
     assert index_oracle(UT3, 3, 100, 0) == (1, 2)
     full = validate_pattern_ideal(3, [(2, 1), (3, 1), (3, 2)])
     assert index_oracle(full, 1, 10, 0) == (0, 0)
+
+
+def reference_index_oracle(ideal, trials, bound, seed):
+    """The oracle as first defined: the best rank mod p over every trial."""
+    algebra = QuotientAlgebra.from_ideal(ideal)
+    best = max(
+        _modular_rank(skew_form_matrix(random_form(algebra, bound, counter_rand(seed, 0xF0, t)), ideal))
+        for t in range(trials)
+    )
+    return algebra.dim - best, best
+
+
+def test_index_oracle_equals_its_definition_on_every_small_ideal():
+    ideals = [ideal for n in range(1, 7) for ideal in enumerate_pattern_ideals(n)]
+    for seed in (0, 1):
+        for ideal in ideals + [LOOSE6, LOOSE7]:
+            # bound 2 makes forms with zero values, so some trials fall short
+            for trials, bound in ((3, 2), (2, 1000)):
+                expected = reference_index_oracle(ideal, trials, bound, seed)
+                assert index_oracle(ideal, trials, bound, seed) == expected, (ideal, seed)
+
+
+def test_index_oracle_stops_at_the_term_rank(monkeypatch):
+    calls = []
+    modular_rank = oracle._modular_rank
+
+    def counted(matrix):
+        calls.append(matrix)
+        return modular_rank(matrix)
+
+    monkeypatch.setattr(oracle, "_modular_rank", counted)
+    assert index_oracle(validate_pattern_ideal(8, []), 5, 1000, 3) == (4, 24)
+    assert len(calls) == 1
+    calls.clear()
+    # the term rank 12 is above the generic rank 10, so every trial runs
+    assert index_oracle(LOOSE6, 5, 1000, 3) == (4, 10)
+    assert len(calls) == 5
 
 
 def test_index_oracle_is_deterministic():
