@@ -252,7 +252,7 @@ class UnipotentElement(namedtuple("UnipotentElement", "entries")):
 
     def __new__(cls, entries: tuple[tuple[int | Fraction, ...], ...]):
         if not all(isinstance(x, (int, Fraction)) for row in entries for x in row):
-            raise ValueError("entries must be int or Fraction; from_strict_lower converts other numbers")
+            raise ValueError("entries must be int or Fraction")
         if not _is_unit_lower(entries):
             raise ValueError("entries must be lower triangular with unit diagonal")
         return tuple.__new__(cls, (entries,))
@@ -260,16 +260,6 @@ class UnipotentElement(namedtuple("UnipotentElement", "entries")):
     @classmethod
     def _make(cls, iterable) -> "UnipotentElement":
         return cls(*iterable)
-
-    @classmethod
-    def from_strict_lower(cls, n: int, coeffs: dict[Pair, int | Fraction]) -> "UnipotentElement":
-        rows = [[int(i == j) for j in range(n)] for i in range(n)]
-        for pair, value in coeffs.items():
-            pair = Pair(*pair)
-            if not (1 <= pair.col < pair.row <= n):
-                raise OutOfRangeError(pair, n)
-            rows[pair.row - 1][pair.col - 1] = _exact(value)
-        return cls(tuple(tuple(row) for row in rows))
 
     @property
     def n(self) -> int:

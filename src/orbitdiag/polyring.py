@@ -103,10 +103,6 @@ def _pack(u: Monomial, shift: dict) -> int:
     return packed
 
 
-def monomial_degree(u: Monomial) -> int:
-    return sum(e for _, e in u)
-
-
 class Polynomial:
     """Immutable-by-convention sparse polynomial {monomial: coefficient}."""
 
@@ -207,18 +203,7 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(monomial_degree(m) for m in self.terms)
-
-    def degree_in(self, pair) -> int:
-        pair = Pair(*pair)
-        best = 0
-        for m in self.terms:
-            for p, e in m:
-                if p == pair:
-                    best = max(best, e)
-        return best
+        return max((sum(e for _, e in m) for m in self.terms), default=-1)
 
     def variables(self) -> set:
         return {p for m in self.terms for p, _ in m}

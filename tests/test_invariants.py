@@ -222,7 +222,7 @@ def test_six_by_six():
     assert zs[2].degree() == 5
     exps, rem = triangular_decompose(zs[2], d.xi_list[2], zs[:2])
     assert exps == {2: 1, 1: 2}
-    assert rem.degree_in(Pair(4, 3)) == 0
+    assert degree_in(rem, Pair(4, 3)) == 0
 
 
 # --- triangular structure ------------------------------------------------------------
@@ -334,10 +334,14 @@ def test_staircase_decomposition_digest_up_to_n7():
 # derivative, and a product grown newest first whose own degree is read back.
 
 
+def degree_in(p, pair):
+    return max((e for m in p.terms for q, e in m if q == pair), default=0)
+
+
 def reference_triangular_decompose(z, xi, earlier):
     xi = Pair(*xi)
-    if z.degree_in(xi) != 1:
-        raise NotTriangularError("degree in the pivot variable is not 1", (tuple(xi), z.degree_in(xi)))
+    if degree_in(z, xi) != 1:
+        raise NotTriangularError("degree in the pivot variable is not 1", (tuple(xi), degree_in(z, xi)))
     q = partial_derivative(z, xi)
     exponents = {}
     product = Polynomial.constant(1)
@@ -345,7 +349,7 @@ def reference_triangular_decompose(z, xi, earlier):
         least = max(earlier[j - 1].variables(), key=succ_key, default=None)
         if least is None:
             continue
-        e = q.degree_in(least) - product.degree_in(least)
+        e = degree_in(q, least) - degree_in(product, least)
         if e > 0:
             exponents[j] = e
             product = product * earlier[j - 1] ** e
@@ -678,9 +682,9 @@ def test_build_with_check_succeeds_up_to_n5():
             zs = build_invariants(d, check=True)
             assert len(zs) == d.s
             for z, xi in zip(zs, d.xi_list):
-                assert z.degree_in(xi) == 1
+                assert degree_in(z, xi) == 1
                 for pair in ideal.members:
-                    assert z.degree_in(pair) == 0
+                    assert degree_in(z, pair) == 0
 
 
 # --- scalar types ------------------------------------------------------------------

@@ -90,8 +90,6 @@ def test_degrees():
     assert Polynomial.constant(5).degree() == 0
     p = y(3, 2) * y(4, 1) ** 2 + y(2, 1)
     assert p.degree() == 3
-    assert p.degree_in(Pair(4, 1)) == 2
-    assert p.degree_in(Pair(4, 3)) == 0
 
 
 @given(polynomials(), polynomials(), polynomials())

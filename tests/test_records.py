@@ -27,7 +27,7 @@ def example(cls):
         PatternIdeal: lambda: ideal,
         QuotientAlgebra: lambda: algebra,
         LinearForm: lambda: form,
-        UnipotentElement: lambda: UnipotentElement.from_strict_lower(3, {Pair(2, 1): 2, Pair(3, 1): 0.5}),
+        UnipotentElement: lambda: UnipotentElement(((1, 0, 0), (2, 1, 0), (Fraction(1, 2), 0, 1))),
         StepRecord: lambda: d.steps[1],
         Diagram: lambda: d,
         IdealSpec: lambda: parse_ideal_spec("4: 4,1; 4,2"),

@@ -110,3 +110,44 @@ def test_fraction_built_only_at_boundaries():
         if (path.stem, owner) not in FRACTION_SITES
     ]
     assert stray == []
+
+
+# Every function, method and class of the library is named somewhere in the
+# library or the benchmark outside its own definition: API that only the
+# tests call belongs in the tests.  Dunder names run implicitly, and a named
+# tuple's `_make` runs inside `_replace`.
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _uses(node, owners=()):
+    """Each identifier node names, skipping its uses inside a definition of the same name."""
+    if isinstance(node, DEFINITIONS):
+        owners = (*owners, node.name)
+    if isinstance(node, ast.Name):
+        names = (node.id,)
+    elif isinstance(node, ast.Attribute):
+        names = (node.attr,)
+    elif isinstance(node, ast.alias):
+        names = (node.name.rpartition(".")[2], node.asname)
+    else:
+        names = ()
+    yield from (name for name in names if name and name not in owners)
+    for child in ast.iter_child_nodes(node):
+        yield from _uses(child, owners)
+
+
+def test_every_definition_has_a_caller():
+    library = {path: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    bench = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PERFBENCH.rglob("*.py"))]
+    used = {name for tree in [*library.values(), *bench] for name in _uses(tree)}
+    uncalled = [
+        (path.stem, node.name)
+        for path, tree in library.items()
+        for node in ast.walk(tree)
+        if isinstance(node, DEFINITIONS)
+        and node.name not in used
+        and node.name != "_make"
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    assert uncalled == []
