@@ -33,8 +33,8 @@ from .polyring import (
     LocalizedElement,
     Polynomial,
     _brackets_with,
-    _is_product,
     _largest_exponents,
+    _product,
     loc_add,
     loc_divide,
     loc_equal,
@@ -174,7 +174,8 @@ def triangular_decompose(
     involves variables strictly greater than xi.  Newest first, e_j is Q's
     degree in the least variable of z_j (its pivot, absent from older z's)
     less the newer factors' degrees there, which add under products; one
-    product on packed keys (polyring's) then certifies Q for any `earlier`.
+    exact product of the factors, smallest first, then certifies Q for any
+    `earlier`.
     Returns the exponent map of Q and the remainder P.
     """
     xi = Pair(*xi)
@@ -200,7 +201,8 @@ def triangular_decompose(
         e = top_q.get(least, 0) - sum(e_k * tops[k - 1].get(least, 0) for k, e_k in exponents.items())
         if e > 0:
             exponents[j] = e
-    if not _is_product(q, [(earlier[j - 1], e) for j, e in exponents.items()]):
+    factors = [earlier[j - 1] for j, e in exponents.items() for _ in range(e)]
+    if _product(sorted(factors, key=lambda w: len(w.terms))) != q:
         raise NotTriangularError("pivot coefficient is not a product of earlier invariants", q)
     remainder = Polynomial(without)
     for v in sorted(remainder.variables()):

@@ -86,14 +86,17 @@ def _largest_exponents(terms) -> dict:
     return top
 
 
-def _layout(bounds: dict) -> dict:
+def _layout(bounds: dict) -> tuple:
     """Bit offset per variable, in (row, col) order, its field as wide as bounds[pair]
-    needs: keys within the bounds add without a carry, so equal keys are equal monomials."""
-    shift, offset = {}, 0
+    needs: keys within the bounds add without a carry, so equal keys are equal monomials.
+    The fields (pair, offset, mask, entries) are what `_unpack` reads a key back through."""
+    shift, fields, offset = {}, [], 0
     for pair in sorted(bounds):
+        width = bounds[pair].bit_length()
         shift[pair] = offset
-        offset += bounds[pair].bit_length()
-    return shift
+        fields.append((pair, offset, (1 << width) - 1, {}))
+        offset += width
+    return shift, fields
 
 
 def _pack(u: Monomial, shift: dict) -> int:
@@ -101,6 +104,44 @@ def _pack(u: Monomial, shift: dict) -> int:
     for pair, e in u:
         packed += e << shift[pair]
     return packed
+
+
+def _unpack(key: int, fields) -> Monomial:
+    """The monomial of a key; each field keeps the entries it has built, so the monomials
+    read back under one layout share their (pair, e) tuples, as monomial_mul's do."""
+    m = []
+    for pair, offset, mask, entries in fields:
+        e = key >> offset & mask
+        if e:
+            entry = entries.get(e)
+            if entry is None:
+                entry = entries[e] = pair, e
+            m.append(entry)
+    return tuple(m)
+
+
+def _product(factors) -> "Polynomial":
+    """The product of the factors, multiplied in the given order on packed keys whose
+    fields hold the sum of the factors' largest exponents, which bounds every partial
+    product; each result monomial is built once, at the end."""
+    bounds: dict = {}
+    for w in factors:
+        for pair, top in _largest_exponents(w.terms).items():
+            bounds[pair] = bounds.get(pair, 0) + top
+    shift, fields = _layout(bounds)
+    product = {0: 1}
+    for w in factors:
+        packed = [(_pack(m, shift), c) for m, c in w.terms.items()]
+        total: dict = {}
+        for ku, cu in product.items():
+            for kv, cv in packed:
+                key = ku + kv
+                if key in total:
+                    total[key] += cu * cv
+                else:
+                    total[key] = cu * cv
+        product = {key: c for key, c in total.items() if c}
+    return Polynomial({_unpack(key, fields): c for key, c in product.items()})
 
 
 class Polynomial:
@@ -161,9 +202,10 @@ class Polynomial:
             return Polynomial({m: c * other for m, c in self.terms.items()})
         a, b = self.terms, other.terms
         # A side of fewer than two terms stays term by term: packing costs more
-        # than it saves there.  Replaying one batch's such products (Python 3.11.7,
-        # 2 cores, medians of 15 runs), sweep's 1 284 took 6.2 ms term by term
-        # against 13.3 ms packed, and symbolic's 606 took 3.3 ms against 6.6 ms.
+        # than it saves there.  Replaying one seed-1 batch's such products (Python
+        # 3.11.7, 2 cores, medians of 15 runs), sweep's 1 269 took 2.9 ms term by
+        # term against 10.9 ms through _product, and symbolic's 484 took 2.6 ms
+        # against 6.6 ms.
         if len(a) < 2 or len(b) < 2:
             total: dict = {}
             for mu, cu in a.items():
@@ -171,25 +213,7 @@ class Polynomial:
                     m = monomial_mul(mu, mv)
                     total[m] = total.get(m, 0) + cu * cv
             return Polynomial(total)
-        # Packed exponents: one bit field per variable, as wide as the largest
-        # exponent the product can reach there, so a monomial product is one
-        # integer addition and keys collide only for equal monomials.  Each
-        # distinct result monomial is built once, from its first (mu, mv).
-        top_a, top_b = _largest_exponents(a), _largest_exponents(b)
-        shift = _layout({pair: top_a.get(pair, 0) + top_b.get(pair, 0) for pair in top_a.keys() | top_b.keys()})
-        packed_b = [(_pack(mv, shift), cv, mv) for mv, cv in b.items()]
-        total = {}
-        first = {}
-        for mu, cu in a.items():
-            pu = _pack(mu, shift)
-            for pv, cv, mv in packed_b:
-                key = pu + pv
-                if key in total:
-                    total[key] += cu * cv
-                else:
-                    total[key] = cu * cv
-                    first[key] = mu, mv
-        return Polynomial({monomial_mul(*first[key]): c for key, c in total.items() if c})
+        return _product((self, other))
 
     __rmul__ = __mul__
 
@@ -242,7 +266,7 @@ def _brackets_with(a: Polynomial, betas, ideal: PatternIdeal) -> dict:
             if gamma is not None:
                 rows.append((alpha, total, gamma, sign))
                 bounds[gamma] = top.get(gamma, 0) + 1
-    shift = _layout(bounds)
+    shift, fields = _layout(bounds)
     steps = {alpha: [] for alpha in top}
     for alpha, total, gamma, sign in rows:
         steps[alpha].append((total, (1 << shift[gamma]) - (1 << shift[alpha]), sign))
@@ -251,17 +275,9 @@ def _brackets_with(a: Polynomial, betas, ideal: PatternIdeal) -> dict:
         for alpha, e in m:
             for total, step, sign in steps[alpha]:
                 total[key + step] = total.get(key + step, 0) + sign * e * c
-    fields = [(pair, offset, (1 << bounds[pair].bit_length()) - 1) for pair, offset in shift.items()]
     brackets = {}
     for beta, total in totals.items():
-        terms = {}
-        for key, c in total.items():
-            if c:
-                m = []
-                for pair, offset, mask in fields:
-                    if key >> offset & mask:
-                        m.append((pair, key >> offset & mask))
-                terms[tuple(m)] = c
+        terms = {_unpack(key, fields): c for key, c in total.items() if c}
         if terms:
             brackets[beta] = terms
     return brackets
@@ -275,27 +291,6 @@ def poisson_bracket(a: Polynomial, b: Polynomial, ideal: PatternIdeal) -> Polyno
         for m, c in (Polynomial(terms) * partial_derivative(b, beta)).terms.items():
             total[m] = total.get(m, 0) + c
     return Polynomial(total)
-
-
-def _is_product(q: Polynomial, powers) -> bool:
-    """Is q the product of w^e over (w, e) in powers?  The factors, each power as e repeated
-    factors, are multiplied smallest first on packed keys whose fields hold the sum of their
-    largest exponents, which bounds every product term: a term of q past it means no."""
-    bounds: dict = {}
-    for w, e in powers:
-        for pair, top in _largest_exponents(w.terms).items():
-            bounds[pair] = bounds.get(pair, 0) + e * top
-    shift = _layout(bounds)
-    product = {0: 1}
-    factors = [[(_pack(m, shift), c) for m, c in w.terms.items()] for w, e in powers for _ in range(e)]
-    for factor in sorted(factors, key=len):
-        total: dict = {}
-        for ku, cu in product.items():
-            for kv, cv in factor:
-                total[ku + kv] = total.get(ku + kv, 0) + cu * cv
-        product = {key: c for key, c in total.items() if c}
-    within = all(e <= bounds.get(pair, 0) for m in q.terms for pair, e in m)
-    return within and product == {_pack(m, shift): c for m, c in q.terms.items()}
 
 
 def evaluate(p: Polynomial, f: LinearForm) -> int | Fraction:

@@ -273,10 +273,10 @@ def test_triangular_rejects_bad_shapes():
 
 
 # w = y[4,1]*y[5,3] + y[4,2]*y[5,3] has degree 1 in its pivot y[5,3] and in every
-# other variable, so the product certificate packs Q = w into one-bit fields.  In
-# each Q below one exponent is 2 where every product term has at most 1: read
-# through a one-bit field it would carry into the next, and each Q would pack to
-# the keys of w for the field order (4,1), (4,2) or the reverse.
+# other variable.  In each Q below one exponent is 2 where every term of w has at
+# most 1, and in the next test Q has a variable that w lacks.  The certificate
+# compares the product of the factors with Q as polynomials, exactly, so both
+# tests guard that comparison: Q must be refused and named as the witness.
 STAIRCASE_W = y(4, 1) * y(5, 3) + y(4, 2) * y(5, 3)
 
 

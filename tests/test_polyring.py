@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitdiag import polyring
@@ -104,7 +104,7 @@ def test_ring_axioms(a, b, c):
 
 
 # exponents at and around powers of two, so that products fill the packed
-# exponent fields of Polynomial.__mul__ up to their top bits
+# exponent fields of polyring._product up to their top bits
 EDGE_EXPONENTS = [1, 2, 3, 4, 5, 7, 8, 9, 127, 128, 129, 255, 256]
 nonzero = st.sampled_from([-3, -2, -1, 1, 2, 3])
 edge_coefficients = st.one_of(nonzero, st.builds(Fraction, nonzero, st.integers(1, 4)))
@@ -141,6 +141,41 @@ def test_product_matches_term_by_term_reference(a, b):
         got, expected = (u * v).terms, reference_product(u, v)
         assert list(got.items()) == list(expected.items())
         assert [type(c) for c in got.values()] == [type(c) for c in expected.values()]
+
+
+one_term_polynomials = st.builds(lambda m, c: Polynomial({m: c}), edge_monomials, edge_coefficients)
+
+
+def assert_product_matches_reference_fold(factors):
+    expected = Polynomial.constant(1).terms
+    for w in factors:
+        expected = reference_product(Polynomial(expected), w)
+    got = polyring._product(factors).terms
+    assert list(got.items()) == list(expected.items())
+    assert [type(c) for c in got.values()] == [type(c) for c in expected.values()]
+    # monomials read back under one layout share their entry tuples
+    assert len({id(e) for m in got for e in m}) == len({e for m in got for e in m})
+
+
+# (x + y)(x - y) cancels xy; kept as a zero, it would place x*y^2 before -y^3
+# when multiplied by y + x
+@example([y(2, 1) + y(3, 1), y(2, 1) - y(3, 1), y(3, 1) + y(2, 1)])
+@given(st.lists(st.one_of(wide_polynomials(), one_term_polynomials), max_size=4))
+def test_product_of_several_factors_matches_the_reference_fold(factors):
+    assert_product_matches_reference_fold(factors)
+
+
+def test_product_fills_every_field_to_the_sum_of_the_tops():
+    # each factor has one term at all of its largest exponents, so the product
+    # reaches y[2,1]^256 * y[3,1]^8 * y[3,2]^16, the top bit of every field
+    factors = [
+        y(2, 1) ** 255 * y(3, 1) * y(3, 2) + y(2, 1),
+        y(2, 1) * y(3, 1) ** 3 * y(3, 2) ** 7 - y(3, 1),
+        y(3, 1) ** 4 * y(3, 2) ** 8 + 3,
+    ]
+    assert_product_matches_reference_fold(factors)
+    top = ((Pair(2, 1), 256), (Pair(3, 1), 8), (Pair(3, 2), 16))
+    assert polyring._product(factors).terms[top] == 1
 
 
 # --- derivatives and the Poisson bracket ----------------------------------------

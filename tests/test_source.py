@@ -151,3 +151,19 @@ def test_every_definition_has_a_caller():
         and not (node.name.startswith("__") and node.name.endswith("__"))
     ]
     assert uncalled == []
+
+
+# A packed key is private to polyring: no other module lays one out, packs a
+# monomial into one or reads one back.
+KEY_FUNCTIONS = {"_layout", "_pack", "_unpack"}
+
+
+def test_only_polyring_names_its_key_functions():
+    named = sorted(
+        (path.stem, name)
+        for path in MODULES
+        if path.stem != "polyring"
+        for name in _uses(ast.parse(path.read_text(encoding="utf-8")))
+        if name in KEY_FUNCTIONS
+    )
+    assert named == []
