@@ -19,9 +19,9 @@ _EXPORTS = {
         "sample_pattern_ideals", "validate_pattern_ideal",
     ),
     "diagram": (
-        "Diagram", "StepOutOfRangeError", "StepRecord", "Symbol", "SymbolKind", "b_set",
-        "build_diagram", "check_closure", "classify_step", "d_minus",
-        "dominating_ideal", "index_of", "max_orbit_dim",
+        "Diagram", "StepOutOfRangeError", "StepRecord", "b_set", "build_diagram",
+        "check_closure", "classify_step", "d_minus", "dominating_ideal", "index_of",
+        "max_orbit_dim",
     ),
     "invariants": (
         "CentralityError", "InconsistentStateError", "NotTriangularError",

@@ -35,7 +35,6 @@ from .core import (
 )
 from .diagram import (
     Diagram,
-    SymbolKind,
     b_set,
     build_diagram,
     check_closure,
@@ -111,32 +110,25 @@ def parse_ideal_spec(text: str) -> IdealSpec:
     return IdealSpec(n, tuple(pairs))
 
 
-_SYMBOLS = {
-    "ascii": {
-        SymbolKind.BULLET: "*",
-        SymbolKind.CROSS: "X",
-        SymbolKind.PLUS: "+",
-        SymbolKind.MINUS: "-",
-    },
-    "unicode": {
-        SymbolKind.BULLET: "•",
-        SymbolKind.CROSS: "⊗",
-        SymbolKind.PLUS: "+",
-        SymbolKind.MINUS: "-",
-    },
-}
+# One mark string per style: bullet, cross, minus, plus.
+_SYMBOLS = {"ascii": "*X-+", "unicode": "•⊗-+"}
 
 
-def _table_lines(d: Diagram, marks: dict, upto: int | None) -> list[str]:
+def _table_lines(d: Diagram, marks: str, upto: int | None) -> list[str]:
+    """Each cell's mark is read off the step that filled it: step 0 is a bullet;
+    step i's cross sits at xi_i, its minuses share xi_i's row and its pluses do not."""
     lines = []
     for row in range(1, d.n + 1):
         cells = []
         for col in range(1, row):
-            symbol = d.cells.get(Pair(row, col))
-            if symbol is None or (upto is not None and symbol.step > upto):
+            i = d.cells.get(Pair(row, col))
+            if i is None or (upto is not None and i > upto):
                 cells.append(".")
+            elif i == 0:
+                cells.append(marks[0])
             else:
-                cells.append(marks[symbol.kind])
+                k, t = d.steps[i - 1].xi
+                cells.append(marks[1 if (row, col) == (k, t) else 2 if row == k else 3])
         lines.append(" ".join(cells))
     return lines
 

@@ -15,15 +15,12 @@ construction), the d_i^- subsets, and bracket-closure checks.
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import combinations
 from typing import NamedTuple
 
 from .core import ConsistencyError, Pair, PatternIdeal, all_pairs, bracket, order_gt, succ_key
 
 __all__ = [
-    "SymbolKind",
-    "Symbol",
     "StepRecord",
     "Diagram",
     "StepOutOfRangeError",
@@ -36,18 +33,6 @@ __all__ = [
     "dominating_ideal",
     "check_closure",
 ]
-
-
-class SymbolKind(Enum):
-    BULLET = "bullet"
-    CROSS = "cross"
-    PLUS = "plus"
-    MINUS = "minus"
-
-
-class Symbol(NamedTuple):
-    kind: SymbolKind
-    step: int
 
 
 class StepOutOfRangeError(IndexError):
@@ -73,7 +58,7 @@ class StepRecord(NamedTuple):
 
 class Diagram(NamedTuple):
     ideal: PatternIdeal
-    cells: dict[Pair, Symbol]
+    cells: dict[Pair, int]  # the step that filled each cell, 0 for the ideal's bullets
     steps: tuple[StepRecord, ...]
 
     @property
@@ -101,20 +86,19 @@ def build_diagram(ideal: PatternIdeal) -> Diagram:
     """Run the filling procedure to completion and record every step."""
     n = ideal.n
     order = all_pairs(n)  # greatest first
-    cells: dict[Pair, Symbol] = {p: Symbol(SymbolKind.BULLET, 0) for p in ideal.members}
+    cells = dict.fromkeys(ideal.members, 0)
     steps: list[StepRecord] = []
     while len(cells) < len(order):
         i = len(steps) + 1
         xi = next(p for p in order if p not in cells)
         k, t = xi
-        cells[xi] = Symbol(SymbolKind.CROSS, i)
+        cells[xi] = i
         minus: list[Pair] = []
         plus: list[Pair] = []
         for a in range(t + 1, k):
             ka, at = Pair(k, a), Pair(a, t)
             if ka not in cells and at not in cells:
-                cells[ka] = Symbol(SymbolKind.MINUS, i)
-                cells[at] = Symbol(SymbolKind.PLUS, i)
+                cells[ka] = cells[at] = i
                 minus.append(ka)
                 plus.append(at)
         p = min((m.row for m in ideal.members if m.col == t), default=n + 1)
@@ -140,7 +124,7 @@ def b_set(d: Diagram, i: int) -> tuple[Pair, ...]:
     Read off the cells: those filled at a later step (bullets have step 0)."""
     if not 0 <= i <= d.s:
         raise StepOutOfRangeError(i, d.s)
-    return tuple(p for p in all_pairs(d.n) if d.cells[p].step > i)
+    return tuple(p for p in all_pairs(d.n) if d.cells[p] > i)
 
 
 def classify_step(d: Diagram, i: int) -> dict[Pair, str]:
@@ -164,7 +148,7 @@ def classify_step(d: Diagram, i: int) -> dict[Pair, str]:
     # cell sits at (a,k) with k < a < p: those always received a minus
     # earlier.  This also gives a >= p for every class-3 survivor.
     for a in range(k + 1, rec.p):
-        if d.cells[Pair(a, k)].step >= i:
+        if d.cells[Pair(a, k)] >= i:
             raise ConsistencyError(f"step {i}: {(a, k)} is unfilled between the cross and row {rec.p}")
     classes: dict[Pair, str] = {}
     for pair in b_set(d, i):
@@ -178,7 +162,7 @@ def classify_step(d: Diagram, i: int) -> dict[Pair, str]:
         elif a < k:
             if not t < b < k:
                 raise ConsistencyError(f"step {i}: survivor {tuple(pair)} is left of the cross column")
-            if d.cells[Pair(a, t)].step >= i and d.cells[Pair(k, b)].step >= i:
+            if d.cells[Pair(a, t)] >= i and d.cells[Pair(k, b)] >= i:
                 cls = "1.1"
             else:
                 cls = "1.2c"

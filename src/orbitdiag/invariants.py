@@ -95,8 +95,11 @@ class RelationReport(NamedTuple):
 
     state: ThetaState
     checked: int
-    passed: bool
     counterexample: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
 
 def initial_state(d: Diagram) -> ThetaState:
@@ -240,7 +243,7 @@ def verify_relations(prev: ThetaState, d: Diagram, i: int) -> RelationReport:
     z_table = state.z_list
     for j, z in enumerate(z_table, start=1):
         if not verify_centrality(z, ideal):
-            return RelationReport(state, 0, False, f"z_{j} does not commute with every coordinate")
+            return RelationReport(state, 0, f"z_{j} does not commute with every coordinate")
     rec = d.steps[i - 1]
     pivot = prev.images[rec.xi]
     # The Weyl pairs split off here: p_j is the previous image of the minus
@@ -294,5 +297,5 @@ def verify_relations(prev: ThetaState, d: Diagram, i: int) -> RelationReport:
     for x, y, expected, message in identities():
         checked += 1
         if not loc_equal(loc_poisson_bracket(x, y, ideal), expected, z_table):
-            return RelationReport(state, checked, False, message)
-    return RelationReport(state, checked, True, None)
+            return RelationReport(state, checked, message)
+    return RelationReport(state, checked)

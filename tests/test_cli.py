@@ -120,6 +120,18 @@ def test_render_tiny():
     assert render_diagram(d) == "\n*\n* *"
 
 
+def test_every_table_up_to_n7_is_pinned():
+    # every ideal with n <= 7, in both styles, with and without the step tables
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for ideal in enumerate_pattern_ideals(n):
+            d = build_diagram(ideal)
+            for style in ("ascii", "unicode"):
+                for steps in (False, True):
+                    digest.update(render_diagram(d, style, steps).encode() + b"\0")
+    assert digest.hexdigest() == "1ad4591362b7e4256a5770f288827932a95f1789b7e43ad19973ebf410e86b1c"
+
+
 # --- result bundles ------------------------------------------------------------------
 
 

@@ -48,7 +48,7 @@ RECORDS = {
     IdealSpec: ("n", "pairs"),
     SkewMatrix: ("rows",),
     ThetaState: ("images", "z_list"),
-    RelationReport: ("state", "checked", "passed", "counterexample"),
+    RelationReport: ("state", "checked", "counterexample"),
     LocalizedElement: ("num", "den"),
 }
 # records that hold a dict (Diagram.cells, SkewMatrix.rows, ThetaState.images,
@@ -88,7 +88,8 @@ def test_record_fields_cannot_be_assigned(cls):
 
 def test_record_defaults():
     state = example(ThetaState)
-    assert RelationReport(state, 0, True) == (state, 0, True, None)
+    assert RelationReport(state, 0) == (state, 0, None) and RelationReport(state, 0).passed
+    assert not RelationReport(state, 3, "a counterexample").passed
     assert LocalizedElement(Polynomial.constant(1)).den == Counter()
 
 
