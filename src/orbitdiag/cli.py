@@ -127,8 +127,8 @@ def _table_lines(d: Diagram, marks: str, upto: int | None) -> list[str]:
             elif i == 0:
                 cells.append(marks[0])
             else:
-                k, t = d.steps[i - 1].xi
-                cells.append(marks[1 if (row, col) == (k, t) else 2 if row == k else 3])
+                xi = d.steps[i - 1].xi
+                cells.append(marks[1 if (row, col) == xi else 2 if row == xi.row else 3])
         lines.append(" ".join(cells))
     return lines
 
