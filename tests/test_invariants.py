@@ -429,6 +429,20 @@ def test_staircase_split_matches_the_reference_on_a_heavy_invariant():
     assert not remainder
 
 
+@pytest.mark.parametrize(
+    "ideal, prefix, length",
+    [(HEAVY11, "acd5b05cbf694c14", 212_145), (validate_pattern_ideal(10, []), "d5d23b69ae084cec", 881_782)],
+)
+def test_text_of_the_heavy_invariants_is_pinned_and_reads_back(ideal, prefix, length):
+    # the printed lines of `invariants` for these ideals, byte for byte, and each
+    # line parses back to its invariant
+    zs = build_invariants(build_diagram(ideal), check=False)
+    lines = [canonical_string(z) for z in zs]
+    text = "".join(line + "\n" for line in lines)
+    assert (hashlib.sha256(text.encode()).hexdigest()[:16], len(text)) == (prefix, length)
+    assert [parse_polynomial(line) for line in lines] == zs
+
+
 # --- centrality -----------------------------------------------------------------------
 
 
