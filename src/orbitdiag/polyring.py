@@ -14,7 +14,7 @@ On top of the plain ring sit:
     formal products of the invariants built so far — arithmetic takes
     common denominators by multiset union and never cancels,
   * a deterministic text form ("2*y[3,1]*y[4,2]^2 - y[2,1]") and a parser
-    for it.
+    for it, which splits the text at its signs and each term at '*'.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import reduce
 import re
 
 from .core import (
@@ -326,28 +327,30 @@ def canonical_string(p: Polynomial) -> str:
     """
     if not p:
         return "0"
-    # one key per term; (col, -row) is succ_key flattened into the entry
-    order = sorted(
-        p.terms, key=lambda m: (-sum([e for _, e in m]), sorted([(col, -row, -e) for (row, col), e in m]))
-    )
-    rendered: dict = {}
-    pieces: list[str] = []
-    for m in order:
-        c = p.terms[m]
-        factors = []
+    # one key per term, (-degree, sorted entry triples); each distinct entry's
+    # triple, (col, -row) being succ_key flattened into it, and text built once
+    triples, rendered, keys = {}, {}, {}
+    for m in p.terms:
+        key, degree = [], 0
         for entry in m:
-            text = rendered.get(entry)
-            if text is None:
+            triple = triples.get(entry)
+            if triple is None:
                 (row, col), e = entry
-                text = rendered[entry] = f"y[{row},{col}]^{e}" if e > 1 else f"y[{row},{col}]"
-            factors.append(text)
+                triple = triples[entry] = col, -row, -e
+                rendered[entry] = f"y[{row},{col}]^{e}" if e > 1 else f"y[{row},{col}]"
+            key.append(triple)
+            degree += entry[1]
+        key.sort()
+        keys[m] = -degree, key
+    pieces: list[str] = []
+    for m in sorted(keys, key=keys.__getitem__):
+        c = p.terms[m]
         mag = -c if c < 0 else c
-        if not factors:
+        body = "*".join(map(rendered.__getitem__, m))
+        if not m:
             body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = str(mag) + "*" + "*".join(factors)
+        elif mag != 1:
+            body = str(mag) + "*" + body
         if not pieces:
             pieces.append("-" + body if c < 0 else body)
         else:
@@ -355,18 +358,17 @@ def canonical_string(p: Polynomial) -> str:
     return "".join(pieces)
 
 
-# One whole term: an optional sign, then factors joined by '*', then the
-# whitespace up to the next sign or the end.  A number factor is followed only
-# by '*', a sign or the end, so it always spans the token `_tokens` reads.
-# The patterns are compiled on first use, through re's own cache, so that a
-# process which only prints polynomials does not pay for them.
-_FACTOR = r"y\[\s*\d+\s*,\s*\d+\s*\](?:\s*\^\s*\d+)?|\d+(?:/\d+)?"
-_TERM = rf"\s*(?:([+-])\s*)?((?:{_FACTOR})(?:\s*\*\s*(?:{_FACTOR}))*)\s*(?=[+-]|\Z)"
+# One factor, padded with whitespace: it holds no sign and no '*', so those split
+# every text the parser takes into terms and factors.  Patterns are compiled on first
+# use, through re's cache, so a process that only prints polynomials pays nothing.
+_FACTOR = r"\s*(?:y\[\s*\d+\s*,\s*\d+\s*\](?:\s*\^\s*\d+)?|\d+(?:/\d+)?)\s*"
 
 
 def _factor(text: str):
     """A factor string, read through `_tokens`, as a number or as (pair,
-    exponent); None where `_tokens` refuses one of its tokens."""
+    exponent); None where it is not one factor or `_tokens` refuses a token."""
+    if not re.fullmatch(_FACTOR, text):
+        return None
     try:
         (kind, value, _), *rest = _tokens(text)
     except PolynomialSyntaxError:
@@ -381,39 +383,36 @@ def _factor(text: str):
 def parse_polynomial(text: str) -> Polynomial:
     """Inverse of canonical_string (tolerant about whitespace).
 
-    Read a whole term per match, each distinct factor string converted once;
-    on any text this pass does not take, `_first_error` raises the first
-    error in reading order with its position.
+    Split the text once at its signs and each term at '*', each distinct piece
+    checked and converted once.  On a leading '+', an empty term or a piece that is
+    not one factor, `_first_error` raises the first error in reading order.
     """
-    term, factors = re.compile(_TERM), re.compile(_FACTOR)
+    parts = ["+", *re.split(r"([+-])", text)]  # [sign, term, sign, term, ...]
+    if len(parts) > 2 and not parts[1].strip():  # a sign opens the text: the first term is signed
+        if parts[2] == "+":  # the text form never starts with '+'
+            _first_error(text)
+        del parts[:2]
     total: dict = {}
     seen: dict = {}
-    pos = 0
-    while True:
-        match = term.match(text, pos)
-        if match is None:
-            _first_error(text)
-        sign, body = match.groups()
-        if sign == "+" and not pos:  # the text form never starts with '+'
-            _first_error(text)
+    for sign, body in zip(parts[::2], parts[1::2]):
         coeff = -1 if sign == "-" else 1
-        exponents: dict = {}
-        for piece in factors.findall(body):
+        entries = []
+        for piece in body.split("*"):
             value = seen.get(piece)
             if value is None:
                 value = seen[piece] = _factor(piece)
                 if value is None:
                     _first_error(text)
             if type(value) is tuple:
-                pair, e = value
-                exponents[pair] = exponents.get(pair, 0) + e
+                entries.append(value)
             else:
                 coeff *= value
-        monomial = tuple(sorted(exponents.items()))
+        entries.sort()
+        if len(dict(entries)) < len(entries):  # a variable repeats: add its exponents
+            entries = reduce(monomial_mul, [(entry,) for entry in entries], ONE)
+        monomial = tuple(entries)
         total[monomial] = total.get(monomial, 0) + coeff
-        pos = match.end()
-        if pos == len(text):
-            return Polynomial(total)
+    return Polynomial(total)
 
 
 # the empty `stray` alternative comes last: it matches only where no token
@@ -454,7 +453,7 @@ def _tokens(text: str):
 
 
 def _first_error(text: str):
-    """Walk the tokens of a text the term pass refused through the grammar,
+    """Walk the tokens of a text the parser refused through the grammar,
     and raise its first error in reading order; it always raises."""
     tokens = _tokens(text)
     kind, value, pos = next(tokens)
@@ -486,7 +485,7 @@ def _first_error(text: str):
                 break
             kind, value, pos = next(tokens)
         if kind == "end":
-            raise ConsistencyError(f"the term pass refused {text!r}, which reads as a polynomial")
+            raise ConsistencyError(f"the parser refused {text!r}, which reads as a polynomial")
         if kind not in ("+", "-"):
             raise PolynomialSyntaxError("expected '+' or '-' between terms", pos)
 

@@ -158,7 +158,9 @@ def assert_product_matches_reference_fold(factors):
 
 
 # (x + y)(x - y) cancels xy; kept as a zero, it would place x*y^2 before -y^3
-# when multiplied by y + x
+# when multiplied by y + x; a drawn case of four factors with exponents up to 256
+# takes longer than hypothesis's default deadline of 200 ms
+@settings(deadline=None)
 @example([y(2, 1) + y(3, 1), y(2, 1) - y(3, 1), y(3, 1) + y(2, 1)])
 @given(st.lists(st.one_of(wide_polynomials(), one_term_polynomials), max_size=4))
 def test_product_of_several_factors_matches_the_reference_fold(factors):
@@ -460,9 +462,9 @@ def test_parse_rejects_what_the_text_form_never_writes(text, position, message):
 
 # --- the token walker, as reference code -------------------------------------------
 #
-# The library reads a whole term per match and walks the tokens only to locate
-# the first error of a text it refuses; the reference reads every text token by
-# token, building its terms as it goes.
+# The library splits a text at its signs and each term at '*', and walks the
+# tokens only to locate the first error of a text it refuses; the reference reads
+# every text token by token, building its terms as it goes.
 
 
 def reference_walk(text):
@@ -515,7 +517,7 @@ def reference_walk(text):
 
 # int() refuses a literal of more than 4300 digits, its default limit: a number,
 # a ratio, an exponent or a position that long is a syntax error at its token,
-# from the term pass and from the reference walker alike
+# from the split reading and from the reference walker alike
 LONG = "1" * 5000
 
 
@@ -551,9 +553,13 @@ def test_parse_round_trips_or_reports_a_position(text):
 
 # beyond PARSER_ALPHABET: whitespace and leading zeros inside a variable, positions
 # off the lower triangle, a spaced and a zero exponent, a whole ratio, a newline
-# and an Arabic-Indic digit (which `\d` and `int` accept)
+# and an Arabic-Indic digit (which `\d` and `int` accept); then what a reading that
+# splits at signs and at '*' could get wrong: a sign inside brackets, '**', two signs
+# in a row, and no-break, em and information-separator spaces (which `\s` and
+# `str.strip` take as whitespace)
 WALKER_ALPHABET = [
     *PARSER_ALPHABET, "y[ 3 , 1 ]", "y[03,1]", "y[1,5]", "y[2,0]", "^ 2", "^0", "2/2", "1/0", "\n", "\u0663",
+    "y[2,-1]", "y[-2,1]", "**", "+ -", "- +", "\u00a0", "\u2003", "\x1c",
 ]
 
 
@@ -565,9 +571,14 @@ def parse_outcome(parse, text):
     return [(m, c, type(c)) for m, c in p.terms.items()]
 
 
-# factors of WALKER_ALPHABET joined as the text form joins them, so that
-# many draws are whole polynomials and take the term-at-a-time path
-FACTORS = ["y[2,1]", "y[4,2]", "y[ 3 , 1 ]", "y[03,1]", "y[1,5]", "y[2,0]", "3", "2/2", "1/0", "\u0663"]
+# factors of WALKER_ALPHABET joined as the text form joins them, so that many
+# draws are whole polynomials and take the split reading's path; the last ones are
+# near misses: a sign inside brackets, factors with no '*' between them, a
+# trailing '*', a lone sign and a padded factor
+FACTORS = [
+    "y[2,1]", "y[4,2]", "y[ 3 , 1 ]", "y[03,1]", "y[1,5]", "y[2,0]", "3", "2/2", "1/0", "\u0663",
+    "y[2,-1]", "y[-2,1]", "y[2,1] y[3,1]", "2 3", "y[2,1]*", "-", "+", "\u00a0y[3,1]\u2003",
+]
 
 
 @st.composite
@@ -580,15 +591,19 @@ def polynomial_texts(draw):
 
 
 @settings(max_examples=500)
+@example("-")
+@example("+")
+@example(" - ")
+@example("\u00a0-\x1cy[2,1]\u2003")
 @given(st.one_of(st.lists(st.sampled_from(WALKER_ALPHABET), max_size=16).map("".join), polynomial_texts()))
 def test_term_parser_agrees_with_the_token_walker(text):
-    # the term-at-a-time reading gives the reference walker's terms and
-    # coefficient types, or its message and position
+    # the split reading gives the reference walker's terms and coefficient
+    # types, or its message and position
     assert parse_outcome(parse_polynomial, text) == parse_outcome(reference_walk, text)
 
 
 def test_first_error_refuses_to_pass_a_text_that_reads():
-    # the term pass takes every polynomial text, so reaching the end here is a bug
+    # the split reading takes every polynomial text, so reaching the end here is a bug
     with pytest.raises(ConsistencyError, match="reads as a polynomial"):
         polyring._first_error("2*y[2,1] - 1/3")
 
