@@ -406,6 +406,9 @@ def test_parse_examples():
     )
     assert parse_polynomial("-y[2,1] + 5") == 5 - y(2, 1)
     assert parse_polynomial(" 7 ") == Polynomial.constant(7)
+    # a variable repeated within a term: its exponents add
+    assert parse_polynomial("y[3,1]*2*y[2,1]*y[3,1]^2") == 2 * y(2, 1) * y(3, 1) ** 3
+    assert not parse_polynomial("y[3,1]*y[2,1]*y[3,1] - y[2,1]*y[3,1]^2")
 
 
 def test_parse_keeps_integral_coefficients_int():
